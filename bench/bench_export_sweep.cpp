@@ -15,15 +15,17 @@
  *  - PRA_SMOKE=1 shrinks the grid (3 workloads x {Baseline, Pra},
  *    120k instructions) for CI;
  *  - --assert-event-speedup replaces the export with a cold
- *    tick-vs-event wall-time comparison and exits non-zero unless the
- *    event engine is at least 2x faster. The comparison runs at the
- *    ROADMAP north-star geometry (kScaleGeometry: many channels whose
- *    idle cycles the wakeup queue skips) rather than the saturated 2x2
- *    paper grid, shares functional warmups across both passes, and
- *    disables the result cache from inside the binary: cache keys
- *    deliberately exclude the observational engine knob, so a cached
- *    tick run would otherwise be served to the event pass (or vice
- *    versa) and fake the ratio.
+ *    forced-vs-event wall-time comparison, written to BENCH_engine.json,
+ *    and exits non-zero unless the event engine is at least 2x faster
+ *    than forced rounds (DramConfig::forceRounds: a scheduling round on
+ *    every DRAM cycle, with the system-level cycle skip still on). The
+ *    comparison runs at the ROADMAP north-star geometry (kScaleGeometry:
+ *    many channels whose idle cycles the wakeup queue skips) rather than
+ *    the saturated 2x2 paper grid, shares functional warmups across both
+ *    passes, and disables the result cache from inside the binary: cache
+ *    keys deliberately exclude the observational forceRounds knob, so a
+ *    cached forced run would otherwise be served to the event pass (or
+ *    vice versa) and fake the ratio.
  */
 #include <chrono>
 #include <cstdlib>
@@ -41,7 +43,7 @@ using namespace pra::bench;
 
 namespace {
 
-/** One timed pass over the grid, as it lands in BENCH_sweep.json. */
+/** One timed pass over the grid, as it lands in a BENCH_*.json file. */
 struct PassTotals
 {
     double wallSecs = 0.0;
@@ -71,12 +73,6 @@ smokeMode()
     return env != nullptr && env[0] == '1';
 }
 
-const char *
-engineName(dram::EngineKind kind)
-{
-    return kind == dram::EngineKind::Event ? "event" : "tick";
-}
-
 /** Channel/rank geometry for a job grid; {0, 0} keeps the default. */
 struct Geometry
 {
@@ -93,13 +89,12 @@ struct Geometry
  */
 constexpr Geometry kScaleGeometry{32, 2};
 
-/** The workload x scheme job list; @p engine forces one engine kind. */
+/** The workload x scheme job list; @p force_rounds sets forceRounds. */
 std::vector<sim::SweepJob>
 buildJobs(const std::vector<std::string> &names,
           const std::vector<const SchemeModel *> &schemes, std::uint64_t target,
           std::vector<std::pair<std::string, sim::ConfigPoint>> *labels,
-          std::optional<dram::EngineKind> engine = std::nullopt,
-          Geometry geom = {})
+          bool force_rounds = false, Geometry geom = {})
 {
     std::vector<sim::SweepJob> jobs;
     for (const auto &name : names) {
@@ -108,10 +103,9 @@ buildJobs(const std::vector<std::string> &names,
             const sim::ConfigPoint point{
                 scheme, dram::PagePolicy::RelaxedClose, false};
             sim::SweepJob job{rate, point, target, {}};
-            if (engine || geom.channels != 0) {
+            if (force_rounds || geom.channels != 0) {
                 sim::SystemConfig cfg = benchConfig(point, target);
-                if (engine)
-                    cfg.dram.engine = *engine;
+                cfg.dram.forceRounds = force_rounds;
                 if (geom.channels != 0) {
                     cfg.dram.channels = geom.channels;
                     cfg.dram.ranksPerChannel = geom.ranks;
@@ -165,52 +159,52 @@ assertEventSpeedup(const std::vector<std::string> &names,
                    const std::vector<const SchemeModel *> &schemes, std::uint64_t target,
                    bool smoke)
 {
-    setenv("PRA_NO_CACHE", "1", 1);   // See file header: keys ignore engine.
+    setenv("PRA_NO_CACHE", "1", 1);   // See file header: keys ignore it.
 
     // One Runner for both passes: warmup keys deliberately exclude the
-    // engine knob, so the functional warm snapshots (which never touch
-    // DRAM timing) are computed once and shared — the measured gap is
-    // the engines, not duplicated warmup. The result cache stays off
-    // (above), so no simulation output crosses between passes.
+    // forceRounds knob, so the functional warm snapshots (which never
+    // touch DRAM timing) are computed once and shared — the measured gap
+    // is the skipped rounds, not duplicated warmup. The result cache
+    // stays off (above), so no simulation output crosses between passes.
     sim::Runner runner;
-    auto timeEngine = [&](dram::EngineKind kind, PassTotals &totals) {
+    auto timePass = [&](bool force_rounds, PassTotals &totals) {
         const std::vector<sim::SweepJob> jobs = buildJobs(
-            names, schemes, target, nullptr, kind, kScaleGeometry);
+            names, schemes, target, nullptr, force_rounds, kScaleGeometry);
         timedRun(runner, jobs, totals);
         return jobs.size();
     };
 
     // Populate the shared warm snapshots outside both timed regions so
-    // neither engine pays them (first-pass warmup would otherwise bias
-    // the ratio toward whichever engine runs second).
+    // neither pass pays them (first-pass warmup would otherwise bias
+    // the ratio toward whichever pass runs second).
     const std::vector<sim::SweepJob> prewarm = buildJobs(
-        names, schemes, target, nullptr, std::nullopt, kScaleGeometry);
+        names, schemes, target, nullptr, false, kScaleGeometry);
     runner.parallelFor(prewarm.size(), [&](std::size_t i) {
         runner.warmups().get(sim::sweepJobConfig(prewarm[i]),
                              prewarm[i].mix);
     });
 
-    PassTotals tick, event;
-    const std::size_t cells = timeEngine(dram::EngineKind::Tick, tick);
-    timeEngine(dram::EngineKind::Event, event);
+    PassTotals forced, event;
+    const std::size_t cells = timePass(true, forced);
+    timePass(false, event);
     const double speedup =
-        event.wallSecs > 0.0 ? tick.wallSecs / event.wallSecs : 0.0;
+        event.wallSecs > 0.0 ? forced.wallSecs / event.wallSecs : 0.0;
 
     {
-        std::ofstream out("BENCH_sweep.json");
+        std::ofstream out("BENCH_engine.json");
         jsonHeader(out, "assert-event-speedup", smoke, cells, target);
         out << "  \"channels\": " << kScaleGeometry.channels
             << ",\n  \"ranks_per_channel\": " << kScaleGeometry.ranks
             << ",\n";
-        jsonPass(out, "tick", tick);
+        jsonPass(out, "forced", forced);
         out << ",\n";
         jsonPass(out, "event", event);
         out << ",\n  \"speedup\": " << speedup << "\n}\n";
     }
 
-    std::cout << "tick " << tick.wallSecs << " s, event " << event.wallSecs
-              << " s, speedup " << speedup << "x over " << cells
-              << " cells (BENCH_sweep.json)\n";
+    std::cout << "forced " << forced.wallSecs << " s, event "
+              << event.wallSecs << " s, speedup " << speedup << "x over "
+              << cells << " cells (BENCH_engine.json)\n";
     if (speedup < 2.0) {
         std::cerr << "FAIL: event engine speedup " << speedup
                   << "x is below the required 2x\n";
@@ -280,9 +274,6 @@ main(int argc, char **argv)
     {
         std::ofstream out("BENCH_sweep.json");
         jsonHeader(out, "export", smoke, jobs.size(), target);
-        out << "  \"engine\": \""
-            << engineName(benchConfig(labels.front().second).dram.engine)
-            << "\",\n";
         jsonPass(out, "cold", cold);
         out << ",\n";
         jsonPass(out, "warm", warm);

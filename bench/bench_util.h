@@ -131,8 +131,7 @@ class SweepTimer
         }
         // Event-engine counters (DESIGN.md §11): wake-ups popped per
         // simulated kilocycle, the fraction of ticks the engine slept
-        // through, and the deepest wake-up heap seen. All-zero under
-        // EngineKind::Tick.
+        // through, and the deepest wake-up heap seen.
         const double events =
             static_cast<double>(eventsPopped_.load());
         const double rounds = static_cast<double>(roundsRun_.load());

@@ -8,8 +8,7 @@
  *  - entropy: no ambient randomness or wall-clock access in src/
  *    outside common/rng.h — the simulator must be bit-reproducible, so
  *    all randomness flows through the seeded PRNG and all time is
- *    simulated Cycle time (the compiled port of
- *    tools/check_determinism.sh). Files under tests/ are scanned only
+ *    simulated Cycle time. Files under tests/ are scanned only
  *    as the fault-coverage reference corpus, never for entropy (test
  *    drills legitimately spell forbidden patterns);
  *  - unordered-iteration: no iteration over std::unordered_map/
@@ -32,7 +31,9 @@
  *    cache entry) and in the applyConfigLine() handler region (so
  *    config files can set it). Fields that cannot affect simulated
  *    results opt out of the canonical key with
- *    `// pra-lint: observational`;
+ *    `// pra-lint: observational`; a switch System sets from the
+ *    environment opts out of the handler with
+ *    `// pra-lint: no-config-key`;
  *  - energy-coverage: every power::EnergyCounts member must be
  *    consumed by the PowerModel aggregation and the auditor's energy
  *    conservation check — an unconsumed counter means silently dropped

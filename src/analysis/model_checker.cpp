@@ -1699,12 +1699,6 @@ ModelChecker::modelConfig(Fault fault, unsigned disturbanceThreshold)
     cfg.rowHitCap = 2;
     cfg.powerDownEnabled = false;
     cfg.enableChecker = false;   // The explorer owns its own checker.
-    // The event engine is the explored implementation (this config also
-    // drives real controllers in test_engine_differential.cpp, which
-    // pins Tick/Event equivalence); test_modelcheck_regressions.cpp
-    // replays every distilled script under both engine kinds and
-    // requires identical verdicts.
-    cfg.engine = dram::EngineKind::Event;
     cfg.scheme = &schemeByName("pra");
 
     // Reduced timing: every rule (refresh included) fires inside the

@@ -6,8 +6,8 @@
  * registers, state epochs) plus the controller-side pending-work
  * bookkeeping: how many queued requests target each bank and how many
  * of those could hit the currently open (possibly partial) row. The
- * controller's scheduling paths, the cycle-skip nextEventCycle() bound,
- * and the maintenance engine all query bank state through this one API
+ * controller's scheduling paths, its background-power accounting and
+ * the maintenance engine all query bank state through this one API
  * instead of reaching into parallel arrays.
  */
 #ifndef PRA_DRAM_BANK_ENGINE_H

@@ -13,8 +13,7 @@
  *    across groups) at the channel level.
  *
  * The scheduler and maintenance paths ask may-issue questions here and
- * report issued commands back; the cycle-skip bound enumerates the
- * arbiter's wake-up candidates through considerWakeups().
+ * report issued commands back.
  */
 #ifndef PRA_DRAM_BUS_ARBITER_H
 #define PRA_DRAM_BUS_ARBITER_H
@@ -144,41 +143,6 @@ class BusArbiter
             lastColumnCycle_ = now;
             lastColumnGroup_ = groupOf(bank_id);
             anyColumnIssued_ = true;
-        }
-    }
-
-    // --- Cycle-skip support -------------------------------------------------
-
-    /**
-     * Feed every cycle at which a bus gate could release an otherwise
-     * ready action to @p consider (the nextEventCycle() candidate
-     * collector).
-     */
-    template <typename Fn>
-    void
-    considerWakeups(bool reads_queued, bool any_queued,
-                    Fn &&consider) const
-    {
-        // The command bus gates refresh and every scheduler action.
-        consider(cmdBusFree_);
-        if (!any_queued)
-            return;
-        if (reads_queued)
-            consider(readBlockedUntil());   // tWTR release (faultable).
-        if (t_.bankGroups > 1 && anyColumnIssued_) {
-            consider(lastColumnCycle_ + t_.columnCrossGroup);
-            consider(lastColumnCycle_ + t_.columnSameGroup);
-        }
-        // Data-bus release: a column command becomes issuable once its
-        // data window (starting wl/rl cycles later, +tRtrs on a rank
-        // switch) clears dataBusFree_.
-        const Cycle lats[] = {t_.writeLatency, t_.readLatency};
-        for (Cycle lat : lats) {
-            for (Cycle busy_until :
-                 {dataBusFree_, dataBusFree_ + t_.rankSwitch}) {
-                if (busy_until > lat)
-                    consider(busy_until - lat);
-            }
         }
     }
 

@@ -57,19 +57,6 @@ enum class SchedulerKind
     FrFcfsWriteAge,
 };
 
-/** Simulation engine driving the controller (DESIGN.md §11). */
-enum class EngineKind
-{
-    /** Run a full scheduling round on every DRAM cycle. */
-    Tick,
-    /**
-     * Wakeup-queue event engine: rounds run only at published next-
-     * event cycles; intervening ticks just account background power.
-     * Bit-identical to Tick (pinned by test_engine_differential.cpp).
-     */
-    Event,
-};
-
 /** Physical address interleaving. */
 enum class AddrMapping
 {
@@ -213,13 +200,15 @@ struct DramConfig
     unsigned minActGranularity = 1;
 
     /**
-     * Simulation engine. Observational: both engines produce identical
-     * simulated behaviour (it is excluded from the canonical config and
-     * result-cache keys), so this only trades wall-clock time. The
-     * PRA_ENGINE=tick|event environment variable overrides it
-     * process-wide.
+     * Run a full scheduling round on every tick, including the cycles
+     * the published wake-up bound declares quiet (DESIGN.md §11.1).
+     * This per-cycle mode is the reference the event engine is checked
+     * against. Observational: simulated behaviour is identical either
+     * way, so it stays out of the canonical config and the cache key.
+     * System sets it from PRA_AUDIT_REPLAY=1; there is no config key.
      */
-    EngineKind engine = EngineKind::Event;   // pra-lint: observational
+    // pra-lint: no-config-key
+    bool forceRounds = false;   // pra-lint: observational
 
     /**
      * Scheme under evaluation: an immutable registry singleton

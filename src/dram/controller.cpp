@@ -33,26 +33,6 @@ trace(Cycle now, unsigned ch, const char *cmd, unsigned rank, unsigned bank,
     }
 }
 
-/**
- * Engine selection: DramConfig::engine, overridable with
- * PRA_ENGINE=tick|event. The env value is cached once per process (like
- * PRA_TRACE), so in-process engine comparisons must use the config
- * knob, not the environment.
- */
-bool
-eventEngineSelected(const DramConfig &cfg)
-{
-    static const int env_mode = [] {
-        const char *env = std::getenv("PRA_ENGINE");
-        if (!env || !env[0])
-            return -1;
-        return env[0] == 'e' ? 1 : 0;
-    }();
-    if (env_mode >= 0)
-        return env_mode == 1;
-    return cfg.engine == EngineKind::Event;
-}
-
 } // namespace
 
 MemoryController::MemoryController(const DramConfig &cfg,
@@ -60,9 +40,7 @@ MemoryController::MemoryController(const DramConfig &cfg,
     : cfg_(&cfg), scheme_(cfg.scheme), channelId_(channel_id),
       banks_(cfg), bus_(cfg), sched_(makeSchedulerPolicy(cfg)),
       maint_(cfg, banks_, *this), prac_(cfg),
-      tables_(TimingTables::build(cfg)),
-      eventMode_(eventEngineSelected(cfg)),
-      replayForce_(verify::Auditor::envReplay())
+      tables_(TimingTables::build(cfg)), replayForce_(cfg.forceRounds)
 {
     if (cfg.enableChecker)
         checker_ = std::make_unique<TimingChecker>(cfg);
@@ -106,7 +84,7 @@ MemoryController::enqueue(Request req, Cycle now)
     // An arrival can enable work immediately (on every enqueue path,
     // including combining and forwarding), so pull the wake target in;
     // tick(now) then runs a full round and republishes.
-    if (eventMode_ && now < nextWake_)
+    if (now < nextWake_)
         nextWake_ = now;
 
     // Settle the deferred background window before the queues change:
@@ -653,11 +631,6 @@ MemoryController::accountBackground(Cycle now)
 void
 MemoryController::tick(Cycle now)
 {
-    if (!eventMode_) {
-        runRound(now);
-        return;
-    }
-
     if (now < nextWake_ && !replayForce_) {
         // Published-quiet cycle: only background power accrues, and even
         // that is deferred — the next round (or counter read) settles
@@ -667,9 +640,9 @@ MemoryController::tick(Cycle now)
         return;
     }
 
-    // PRA_AUDIT_REPLAY forces a full round on cycles the heap declared
-    // quiet; such a round must not act, or the published wake-up set
-    // was unsound.
+    // forceRounds runs a full round on cycles the heap declared quiet;
+    // such a round must not act, or the published wake-up set was
+    // unsound.
     const bool forced_quiet = now < nextWake_;
     const std::size_t popped = wake_.popDue(now);
     engineStats_.eventsPopped += popped;
@@ -816,27 +789,13 @@ MemoryController::publishWakeups(Cycle now)
 Cycle
 MemoryController::nextEventCycle(Cycle now) const
 {
-    // Event engine: the heap minimum was published by the last round
-    // and every later enqueue ran through tick(), so it is exact for
-    // the caller's (no-arrivals) contract — no rescan needed. The
-    // invariant nextWake_ > last-ticked-cycle makes the guard always
-    // true once ticking has started.
-    if (eventMode_ && nextWake_ > now)
-        return nextWake_;
-
-    // Tick engine: recompute the bound by scanning every layer. Every
-    // gate that can block an otherwise-ready action is listed
-    // individually, so a window in which exactly one gate binds still
-    // wakes at the cycle that gate releases. Extra (too-early)
-    // candidates are harmless — the caller re-evaluates — but a missing
-    // one would overshoot and change behaviour.
-    Cycle next = kNever;
-    auto consider = [&](Cycle c) {
-        if (c > now && c < next)
-            next = c;
-    };
-    forEachWakeCandidate(now, consider);
-    return next;
+    // The heap minimum was published by the last round and every later
+    // enqueue ran through tick(), so it is exact for the caller's
+    // (no-arrivals) contract — no rescan needed. The invariant
+    // nextWake_ > last-ticked-cycle holds once ticking has started;
+    // before the first tick nothing is published, and now + 1 skips
+    // nothing.
+    return nextWake_ > now ? nextWake_ : now + 1;
 }
 
 void

@@ -9,7 +9,7 @@
  *    the default; FCFS and FR-FCFS+write-age-promotion are ablations;
  *  - a BankEngine owning per-bank FSM state (open row, open PRA mask,
  *    hit streak, state epochs) plus pending-work counters, queried by
- *    the scheduling paths, the cycle-skip bound, and maintenance alike;
+ *    the scheduling paths and maintenance alike;
  *  - a BusArbiter owning the shared-resource gates: command-bus slots,
  *    data-bus reservation with tRTRS rank turnaround, the tWTR
  *    write-to-read gate, and DDR4 tCCD_S/tCCD_L bank-group spacing;
@@ -156,11 +156,11 @@ class MemoryController : private MaintenanceHooks
     void enqueue(Request req, Cycle now);
 
     /**
-     * Advance one DRAM cycle. Under the tick engine every call runs a
-     * full scheduling round. Under the event engine (DESIGN.md §11) a
-     * call before the published next-wake cycle only accounts
-     * background power; rounds run exactly at heap-published wake-up
-     * cycles (and whenever enqueue() lowers the wake target).
+     * Advance one DRAM cycle (DESIGN.md §11). A call before the
+     * published next-wake cycle only accounts background power; rounds
+     * run exactly at heap-published wake-up cycles (and whenever
+     * enqueue() lowers the wake target). Under DramConfig::forceRounds
+     * every call runs a full round.
      */
     void tick(Cycle now);
 
@@ -168,11 +168,9 @@ class MemoryController : private MaintenanceHooks
      * Cycle-skip support: the next cycle (> @p now) at which tick()
      * could do anything beyond background power accounting — issue a
      * command, auto-precharge, or deliver a completion — assuming no
-     * new request is enqueued in between. Under the tick engine this is
-     * a conservative lower bound recomputed by scanning every layer:
-     * it may be earlier than the next real action (the caller simply
-     * re-evaluates) but is never later. Under the event engine it is
-     * the already-published heap minimum, returned without a scan.
+     * new request is enqueued in between: the heap minimum the last
+     * round published, returned without a scan. Before the first tick
+     * nothing is published yet, and the bound is @p now + 1.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -205,7 +203,7 @@ class MemoryController : private MaintenanceHooks
         return energy_;
     }
 
-    /** Event-engine counters (zero under the tick engine). */
+    /** Event-engine counters. */
     const EngineStats &engineStats() const { return engineStats_; }
 
     unsigned numRanks() const { return banks_.numRanks(); }
@@ -278,7 +276,7 @@ class MemoryController : private MaintenanceHooks
 
     // --- Event engine (DESIGN.md §11) --------------------------------------
 
-    /** One full scheduling round: the tick-engine per-cycle body. */
+    /** One full scheduling round. */
     void runRound(Cycle now);
 
     /**
@@ -308,61 +306,6 @@ class MemoryController : private MaintenanceHooks
     {
         if (c > now && c < scanWake_)
             scanWake_ = c;
-    }
-
-    /**
-     * Enumerate every cycle at which a scheduling round could act:
-     * in-flight completions, the bus arbiter's gate releases, the
-     * scheduler policy's next decision flip, refresh deadlines, and the
-     * per-bank/per-rank timing-gate releases. Shared by the event
-     * engine's publish step and the tick engine's cycle-skip bound.
-     */
-    template <typename Fn>
-    void
-    forEachWakeCandidate(Cycle now, Fn &&consider) const
-    {
-        for (const auto &c : inflight_)
-            consider(c.finish);
-
-        const bool reads_queued = !readQ_.empty();
-        const bool any_queued = reads_queued || !writeQ_.empty();
-
-        bus_.considerWakeups(reads_queued, any_queued, consider);
-
-        // Time-dependent selection flips (e.g. write-age promotion)
-        // can enable a command with no timing-gate release at that
-        // cycle, so the policy publishes its own candidate.
-        if (any_queued)
-            consider(sched_->nextDecisionChangeAt(schedulerInputs(), now));
-
-        // Named maintenance ops (e.g. prac_rfm) publish their own wake
-        // bound; an op without one degrades the skip to per-cycle.
-        consider(maint_.opWakeBound(now));
-        if (maint_.hasOpaqueOps())
-            consider(now + 1);
-
-        for (unsigned r = 0; r < banks_.numRanks(); ++r) {
-            const Rank &rank = banks_.rank(r);
-            // Refresh deadlines apply even to idle ranks.
-            consider(rank.nextRefreshAt());
-            const bool rank_queued = banks_.anyQueuedInRank(r);
-            if (rank_queued) {
-                consider(rank.nextActAllowedAt());
-                rank.forEachActWindowExpiry(consider);
-            }
-            const bool refresh_pending = rank.refreshDue(now);
-            const bool maint_pending =
-                refresh_pending || prac_.alertActive(r);
-            for (unsigned b = 0; b < rank.numBanks(); ++b) {
-                const Bank &bank = rank.bank(b);
-                if (bank.isOpen()) {
-                    consider(bank.earliestPrecharge());
-                    consider(bank.earliestColumnAccess());
-                } else if (rank_queued || maint_pending) {
-                    consider(bank.earliestActivate());
-                }
-            }
-        }
     }
 
     /** Sentinel wake cycle: nothing scheduled. */
@@ -397,8 +340,7 @@ class MemoryController : private MaintenanceHooks
 
     // Event engine state (DESIGN.md §11).
     TimingTables tables_;     //!< Precomputed command-pair gaps.
-    bool eventMode_ = false;  //!< Event engine selected (config or env).
-    bool replayForce_ = false; //!< PRA_AUDIT_REPLAY: tick every cycle.
+    bool replayForce_;        //!< DramConfig::forceRounds: round every tick.
     Cycle nextWake_ = 0;      //!< Heap minimum; 0 forces the first round.
     WakeupHeap wake_;
     EngineStats engineStats_;

@@ -43,11 +43,12 @@ class DramSystem
     void tick();
 
     /**
-     * Cycle-skip support: conservative lower bound on the next cycle at
-     * which any channel could act, judged from the last simulated cycle
-     * (now()-1, so an action already unblocked for the upcoming cycle
-     * yields a bound of exactly now() and no skip). Assumes no enqueue
-     * happens in between. Only meaningful after at least one tick().
+     * Cycle-skip support: the next cycle at which any channel could
+     * act, judged from the last simulated cycle (now()-1, so an action
+     * already unblocked for the upcoming cycle yields a bound of exactly
+     * now() and no skip). It is the minimum of the channels' published
+     * wake-up bounds and assumes no enqueue happens in between. Before
+     * the first tick() nothing is published, and the bound is now() + 1.
      */
     Cycle nextEventCycle() const;
 

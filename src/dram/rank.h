@@ -68,22 +68,6 @@ class Rank
     Cycle nextActAllowedAt() const { return nextActAllowed_; }
 
     /**
-     * Visit the expiry cycle of every activation currently charged
-     * against the weighted tFAW window (each entry leaves the window at
-     * its cycle + tFAW), oldest first. Cycle-skip uses these as wake-up
-     * candidates; allocation-free because it runs on the publish path.
-     */
-    template <typename Fn>
-    void
-    forEachActWindowExpiry(Fn &&fn) const
-    {
-        for (const auto &[cycle, weight] : actWindow_) {
-            (void)weight;
-            fn(cycle + t_.fawWindow);
-        }
-    }
-
-    /**
      * Earliest tFAW-window expiry, or the all-ones sentinel when the
      * window is empty — the exact cycle the activation budget next
      * loosens (entries are appended in issue order, so the front is the

@@ -221,17 +221,6 @@ constexpr KeyHandler kKeyHandlers[] = {
      [](const std::string &v, SystemConfig &c) {
          c.dram.enableChecker = parseBool(v);
      }},
-    {"engine",
-     [](const std::string &v, SystemConfig &c) {
-         const std::string s = lower(v);
-         if (s == "tick")
-             c.dram.engine = dram::EngineKind::Tick;
-         else if (s == "event")
-             c.dram.engine = dram::EngineKind::Event;
-         else
-             throw std::runtime_error("unknown engine '" + v +
-                                      "' (accepted: tick, event)");
-     }},
     {"target_instructions",
      [](const std::string &v, SystemConfig &c) {
          c.targetInstructions = std::stoull(v);

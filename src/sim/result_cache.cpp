@@ -369,8 +369,9 @@ identicalResults(const RunResult &a, const RunResult &b)
     // field, so textual equality is exactly statistic-for-statistic bit
     // equality. RunResult::engine is deliberately outside it: the
     // engine counters describe how the simulator ran (wall-clock
-    // diagnostics), not what it computed, and both engines must share
-    // cache entries and compare identical.
+    // diagnostics), not what it computed, and a forced-round run
+    // (DramConfig::forceRounds) must share cache entries with, and
+    // compare identical to, an event-driven one.
     return serializeRunResult(a) == serializeRunResult(b);
 }
 

@@ -10,9 +10,26 @@
 
 namespace pra::sim {
 
+namespace {
+
+/**
+ * The DRAM config a System builds its DramSystem from: PRA_AUDIT_REPLAY=1
+ * switches on forced rounds, so every cycle the published wake-up bound
+ * declares quiet is replayed through a full scheduling round.
+ */
+dram::DramConfig
+dramConfigOf(const SystemConfig &cfg)
+{
+    dram::DramConfig dram = cfg.dram;
+    dram.forceRounds = dram.forceRounds || verify::Auditor::envReplay();
+    return dram;
+}
+
+} // namespace
+
 System::System(const SystemConfig &cfg,
                std::vector<std::unique_ptr<cpu::Generator>> generators)
-    : cfg_(cfg), dram_(cfg.dram), gens_(std::move(generators))
+    : cfg_(cfg), dram_(dramConfigOf(cfg)), gens_(std::move(generators))
 {
     assert(!gens_.empty() && gens_.size() <= cfg_.caches.numCores);
 
@@ -44,7 +61,7 @@ System::System(const SystemConfig &cfg,
 }
 
 System::System(const SystemConfig &cfg, const WarmSnapshot &snapshot)
-    : cfg_(cfg), dram_(cfg.dram)
+    : cfg_(cfg), dram_(dramConfigOf(cfg))
 {
     // Fork: adopt the warmed hierarchy and the advanced generators by
     // deep copy, then skip warmup. The snapshot's hierarchy embeds its

@@ -56,8 +56,10 @@ struct SystemConfig
      * only: results are bit-identical with or without it. PRA_AUDIT=1
      * in the environment force-enables it for every System and turns
      * violations into an abort with a full report; PRA_AUDIT_REPLAY=1
-     * additionally replays cycle-skip windows through the slow path and
-     * fingerprint-checks warm-snapshot forks.
+     * additionally replays cycle-skip windows through the slow path,
+     * runs a scheduling round on every DRAM cycle
+     * (DramConfig::forceRounds) and fingerprint-checks warm-snapshot
+     * forks.
      */
     bool enableAudit = false;       // pra-lint: observational
     /** Auditor coherence-scan stride in accesses; 0 = auto. */
@@ -86,9 +88,9 @@ struct RunResult
     double edp = 0.0;
 
     /**
-     * Event-engine counters (zero under the tick engine). Observational
-     * wall-clock diagnostics only — deliberately excluded from the
-     * result cache so both engines share cache entries.
+     * Event-engine counters. Observational wall-clock diagnostics only —
+     * deliberately excluded from the result cache, so forced-round and
+     * event-driven runs share cache entries.
      */
     dram::EngineStats engine;
 };

@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "dram/checker.h"
+#include "scheme_param_name.h"
 #include "sim/experiment.h"
 
 namespace pra::dram {
@@ -287,7 +288,13 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(&schemeByName("baseline"), &schemeByName("fga"), &schemeByName("halfdram"),
                           &schemeByName("pra"), &schemeByName("halfdram+pra")),
         ::testing::Values(PagePolicy::RelaxedClose,
-                          PagePolicy::RestrictedClose)));
+                          PagePolicy::RestrictedClose)),
+    [](const auto &info) {
+        return test::schemeParamName(*std::get<0>(info.param)) +
+               (std::get<1>(info.param) == PagePolicy::RelaxedClose
+                    ? "_relaxed"
+                    : "_restricted");
+    });
 
 } // namespace
 } // namespace pra::dram

@@ -146,6 +146,85 @@ TEST(DramSystem, BackpressureWhenQueueFull)
     EXPECT_EQ(sys.aggregateStats().readReqs, accepted);
 }
 
+/** What a run exposes to its caller, compared bit for bit below. */
+struct RunTrace
+{
+    std::vector<Completion> completions;
+    power::EnergyCounts energy;
+    std::uint64_t acts = 0;
+    std::uint64_t precharges = 0;
+    std::uint64_t refreshes = 0;
+};
+
+/**
+ * A short mixed read/write run on the default (power-down enabled)
+ * configuration. Arrivals are keyed to absolute cycles from 5 on, so a
+ * run that fast-forwards over its first cycles sees the same arrivals.
+ * With @p skip_first, the first step is a fastForwardTo() to the bound
+ * nextEventCycle() reports before any tick.
+ */
+RunTrace
+runFrom(bool skip_first)
+{
+    DramSystem sys(DramConfig{});
+    if (skip_first) {
+        const Cycle target = sys.nextEventCycle();
+        EXPECT_LE(target, sys.now() + 1);
+        sys.fastForwardTo(target);
+    }
+    RunTrace out;
+    Rng rng(11);
+    std::uint64_t tag = 1;
+    while (sys.now() < 20'000) {
+        if (sys.now() >= 5 && sys.now() < 12'000 && sys.now() % 9 == 0) {
+            DecodedAddr loc;
+            loc.channel = static_cast<unsigned>(rng.below(2));
+            loc.rank = static_cast<unsigned>(rng.below(2));
+            loc.bank = static_cast<unsigned>(rng.below(8));
+            loc.row = static_cast<std::uint32_t>(rng.below(32));
+            const bool is_write = rng.below(3) == 0;
+            const Addr addr = sys.mapper().encode(loc);
+            if (sys.canAccept(addr, is_write)) {
+                sys.enqueue(addr, is_write, WordMask::single(tag % 8), 0,
+                            tag);
+                ++tag;
+            }
+        }
+        sys.tick();
+        for (const Completion &c : sys.drainCompletions())
+            out.completions.push_back(c);
+    }
+    out.energy = sys.energyCounts();
+    const ControllerStats s = sys.aggregateStats();
+    out.acts = s.actsForReads + s.actsForWrites;
+    out.precharges = s.precharges;
+    out.refreshes = s.refreshes;
+    return out;
+}
+
+TEST(DramSystem, SkipBoundBeforeFirstTickIsExact)
+{
+    // Before the first tick no channel has published a wake-up bound;
+    // nextEventCycle() must then skip at most the current cycle, and a
+    // run that takes that skip must match one that never skips.
+    const RunTrace ticked = runFrom(false);
+    const RunTrace skipped = runFrom(true);
+    ASSERT_EQ(ticked.completions.size(), skipped.completions.size());
+    EXPECT_GT(ticked.completions.size(), 100u);
+    for (std::size_t i = 0; i < ticked.completions.size(); ++i) {
+        EXPECT_EQ(ticked.completions[i].tag, skipped.completions[i].tag);
+        EXPECT_EQ(ticked.completions[i].finish,
+                  skipped.completions[i].finish);
+        EXPECT_EQ(ticked.completions[i].latency,
+                  skipped.completions[i].latency);
+    }
+    EXPECT_TRUE(ticked.energy == skipped.energy);
+    EXPECT_EQ(ticked.acts, skipped.acts);
+    EXPECT_EQ(ticked.precharges, skipped.precharges);
+    EXPECT_EQ(ticked.refreshes, skipped.refreshes);
+    EXPECT_GT(ticked.refreshes, 0u);
+}
+
 TEST(DramSystem, DrainBounded)
 {
     DramSystem sys(smallConfig());

@@ -1,21 +1,21 @@
 /**
  * @file
- * Tick-vs-event engine differential (DESIGN.md §11).
+ * Event-vs-forced-round differential (DESIGN.md §11).
  *
- * The event-driven engine promises *bit-identical* behaviour to the
- * exhaustive tick engine: skipping to the next wake-up target may never
- * change a scheduling decision, only avoid the idle rounds between
- * decisions. This test pins that contract the hard way: the golden
- * canned request mix is driven through standalone controllers under
- * EngineKind::Tick and EngineKind::Event for every scheduler policy x
- * scheme x page policy x device preset cell, and the stats/energy
- * fingerprint, the cycle-exact completion stream, and the checker
- * verdict must match field-for-field. Deliberate protocol faults
- * (ignored tWTR / tCCD_L) must produce the *same* violation lists under
- * both engines — the event engine may not skip past a bug's window.
- * Finally the engine counters prove the event runs actually exercised
- * the fast path (ticks skipped, wake-ups popped) and the tick runs did
- * not.
+ * The event-driven engine promises *bit-identical* behaviour to a
+ * controller that runs a full scheduling round on every cycle
+ * (DramConfig::forceRounds): skipping to the next wake-up target may
+ * never change a scheduling decision, only avoid the idle rounds
+ * between decisions. This test pins that contract the hard way: the
+ * golden canned request mix is driven through standalone controllers
+ * with and without forced rounds for every scheduler policy x scheme x
+ * page policy x device preset cell, and the stats/energy fingerprint,
+ * the cycle-exact completion stream, and the checker verdict must match
+ * field-for-field. Deliberate protocol faults (ignored tWTR / tCCD_L)
+ * must produce the *same* violation lists in both modes — the event
+ * engine may not skip past a bug's window. Finally the engine counters
+ * prove the event runs actually exercised the fast path (ticks skipped,
+ * wake-ups popped) and the forced runs skipped nothing.
  */
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@
 namespace pra::dram {
 namespace {
 
-/** Everything one canned run produces that the engines must agree on. */
+/** Everything one canned run produces that both modes must agree on. */
 struct Outcome
 {
     std::uint64_t statsFp = 0;        //!< Stats + energy fold.
@@ -164,35 +164,35 @@ runCanned(DramConfig cfg)
 }
 
 DramConfig
-withEngine(DramConfig cfg, EngineKind kind)
+withForcedRounds(DramConfig cfg, bool force)
 {
-    cfg.engine = kind;
+    cfg.forceRounds = force;
     return cfg;
 }
 
-/** Run one cell under both engines and require identical behaviour. */
+/** Run one cell in both modes and require identical behaviour. */
 void
 expectEnginesAgree(const DramConfig &cfg, const std::string &label,
                    bool expect_violations = false)
 {
-    const Outcome tick = runCanned(withEngine(cfg, EngineKind::Tick));
-    const Outcome event = runCanned(withEngine(cfg, EngineKind::Event));
+    const Outcome forced = runCanned(withForcedRounds(cfg, true));
+    const Outcome event = runCanned(withForcedRounds(cfg, false));
 
-    EXPECT_EQ(tick.statsFp, event.statsFp) << label;
-    EXPECT_EQ(tick.completionsFp, event.completionsFp) << label;
-    EXPECT_EQ(tick.end, event.end) << label;
-    EXPECT_EQ(tick.violations, event.violations) << label;
-    EXPECT_EQ(tick.violations.empty(), !expect_violations)
-        << label << (tick.violations.empty()
+    EXPECT_EQ(forced.statsFp, event.statsFp) << label;
+    EXPECT_EQ(forced.completionsFp, event.completionsFp) << label;
+    EXPECT_EQ(forced.end, event.end) << label;
+    EXPECT_EQ(forced.violations, event.violations) << label;
+    EXPECT_EQ(forced.violations.empty(), !expect_violations)
+        << label << (forced.violations.empty()
                          ? ""
-                         : ": " + tick.violations.front());
+                         : ": " + forced.violations.front());
 
-    // The comparison is only meaningful if the event run actually took
-    // the fast path: most ticks skipped, wake-ups popped from the heap.
-    // (The round counter only runs in event mode — the tick engine
-    // reports all-zero EngineStats.)
-    EXPECT_EQ(tick.engine.skippedTicks, 0u) << label;
-    EXPECT_EQ(tick.engine.rounds, 0u) << label;
+    // The forced run is the per-cycle reference: it skipped nothing and
+    // ran a round on every cycle. The comparison is only meaningful if
+    // the event run actually took the fast path: most ticks skipped,
+    // wake-ups popped from the heap.
+    EXPECT_EQ(forced.engine.skippedTicks, 0u) << label;
+    EXPECT_EQ(forced.engine.rounds, forced.end) << label;
     EXPECT_GT(event.engine.skippedTicks, 0u) << label;
     EXPECT_GT(event.engine.wakeups, 0u) << label;
     EXPECT_GT(event.engine.eventsPopped, 0u) << label;
@@ -248,7 +248,7 @@ TEST(EngineDifferential, PowerDownDisabledStillAgrees)
 
 TEST(EngineDifferential, FaultWindowsAreNotSkippedPast)
 {
-    // A protocol bug must be equally visible under both engines: the
+    // A protocol bug must be equally visible in both modes: the
     // event engine may not sleep through the window in which a faulty
     // gate issues an illegal command. Both deliberate bus-arbiter
     // faults must yield identical, non-empty checker violation lists.

@@ -216,15 +216,16 @@ TEST(MaintenanceOps, PracOpRegisteredAfterWarmSnapshotFork)
 TEST(MaintenanceOps, PracRunsBitIdenticalAcrossEngines)
 {
     // The prac_rfm wake-bound contract is what lets the event engine
-    // sleep through alert-free stretches; tick vs event disagreement
-    // here means a lost wakeup the model checker's soundness property
-    // guards at model scale.
-    SystemConfig tick = pracConfig();
-    tick.dram.engine = dram::EngineKind::Tick;
-    SystemConfig event = pracConfig();
-    event.dram.engine = dram::EngineKind::Event;
-    const RunResult a = runWorkload(gupsRate(), tick);
-    const RunResult b = runWorkload(gupsRate(), event);
+    // sleep through alert-free stretches; disagreement with the fully
+    // per-cycle reference (a scheduling round on every DRAM cycle and no
+    // system-level cycle skip, so no wake bound is used at all) means a
+    // lost wakeup the model checker's soundness property guards at model
+    // scale.
+    SystemConfig per_cycle = pracConfig();
+    per_cycle.dram.forceRounds = true;
+    per_cycle.enableCycleSkip = false;
+    const RunResult a = runWorkload(gupsRate(), per_cycle);
+    const RunResult b = runWorkload(gupsRate(), pracConfig());
     EXPECT_TRUE(identicalResults(a, b));
     EXPECT_GT(a.dramStats.rfms, 0u);
 }

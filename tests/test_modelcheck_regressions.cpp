@@ -38,18 +38,18 @@ replayText(const std::string &text, const dram::DramConfig &cfg)
     CommandScript script;
     std::string error;
     EXPECT_TRUE(CommandScript::parse(text, script, error)) << error;
-    // The simulation engine is observational: a distilled script must
-    // replay to the same verdicts whether the config that produced it
-    // selects the tick or the event engine. Replay under both and
+    // Forced rounds are observational: a distilled script must replay to
+    // the same verdicts whether or not the config that produced it
+    // forces a scheduling round on every cycle. Replay both ways and
     // require identical violation lists before returning one.
-    dram::DramConfig tick_cfg = cfg;
-    tick_cfg.engine = dram::EngineKind::Tick;
+    dram::DramConfig forced_cfg = cfg;
+    forced_cfg.forceRounds = true;
     dram::DramConfig event_cfg = cfg;
-    event_cfg.engine = dram::EngineKind::Event;
-    const auto tick_violations = replayScript(script, tick_cfg);
+    event_cfg.forceRounds = false;
+    const auto forced_violations = replayScript(script, forced_cfg);
     const auto event_violations = replayScript(script, event_cfg);
-    EXPECT_EQ(tick_violations, event_violations);
-    return tick_violations;
+    EXPECT_EQ(forced_violations, event_violations);
+    return forced_violations;
 }
 
 bool
@@ -107,7 +107,10 @@ INSTANTIATE_TEST_SUITE_P(AllFaults, FaultCatch,
                          ::testing::Values(Fault::WidenAct,
                                            Fault::IgnoreTccdL,
                                            Fault::IgnoreTwtr,
-                                           Fault::DropCount));
+                                           Fault::DropCount),
+                         [](const auto &info) {
+                             return std::string(faultName(info.param));
+                         });
 
 TEST(ModelCheck, UnfaultedExplorationIsClean)
 {

@@ -216,7 +216,8 @@ TEST_P(BreakdownTotal, SumsMatch)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BreakdownTotal,
-                         ::testing::Range(1u, 21u));
+                         ::testing::Range(1u, 21u),
+                         ::testing::PrintToStringParamName());
 
 } // namespace
 } // namespace pra::power

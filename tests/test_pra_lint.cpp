@@ -6,10 +6,9 @@
  * to catch), and the real tree under PRA_SOURCE_DIR must scan clean.
  *
  * Note: this file spells forbidden entropy patterns (rand(), ...)
- * inside drill inputs. That is safe because the determinism rules
- * scope themselves to src/ paths: pra_lint loads tests/ only as the
- * fault-coverage reference corpus, and tools/check_determinism.sh
- * covers src/ only.
+ * inside drill inputs. That is safe because the entropy rule scopes
+ * itself to src/ paths: pra_lint loads tests/ only as the
+ * fault-coverage reference corpus.
  */
 #include <gtest/gtest.h>
 
@@ -125,6 +124,42 @@ TEST(EntropyRule, FlagsAmbientEntropyAndClocks)
     ASSERT_EQ(issues.size(), 4u) << joined(issues);
     EXPECT_EQ(issues[0].line, 1u);
     EXPECT_EQ(issues[3].line, 4u);
+}
+
+TEST(EntropyRule, FlagsEveryDeterminismScriptPattern)
+{
+    // Every spelling of the determinism pattern
+    //   (^|[^[:alnum:]_.])(rand|srand|rand_r|random|drand48|time|
+    //   gettimeofday|clock_gettime|clock)[[:space:]]*\(
+    //   | std::random_device | std::(system|steady|high_resolution)_clock
+    //   | ::getentropy | /dev/u?random
+    // is flagged exactly once, with any whitespace (a tab included)
+    // between a call name and its '('.
+    const char *const calls[] = {"rand",    "srand",        "rand_r",
+                                 "random",  "drand48",      "time",
+                                 "gettimeofday", "clock_gettime", "clock"};
+    const char *const gaps[] = {"", " ", "\t", " \t "};
+    std::vector<std::string> lines;
+    for (const char *call : calls) {
+        for (const char *gap : gaps) {
+            lines.push_back(std::string("x = ") + call + gap + "(0);");
+            lines.push_back(std::string(call) + gap + "(0);");
+        }
+    }
+    for (const char *use : {"std::random_device rd;",
+                            "auto t = std::system_clock::now();",
+                            "auto t = std::steady_clock::now();",
+                            "auto t = std::high_resolution_clock::now();",
+                            "::getentropy(buf, 8);",
+                            "open(\"/dev/urandom\", 0);",
+                            "open(\"/dev/random\", 0);"})
+        lines.push_back(use);
+
+    for (const std::string &line : lines) {
+        const auto issues = issuesOfRule(
+            lintSources({{"src/dram/bad.cpp", line + "\n"}}), "entropy");
+        EXPECT_EQ(issues.size(), 1u) << line << "\n" << joined(issues);
+    }
 }
 
 TEST(EntropyRule, IgnoresCommentsAnchorsAndRngHeader)
@@ -379,6 +414,34 @@ TEST(ConfigCoverageRule, FullCoverageAndObservationalExemptionPass)
             "c.enableAudit = true; }\n")),
         "config-coverage");
     EXPECT_TRUE(issues.empty()) << joined(issues);
+}
+
+TEST(ConfigCoverageRule, NoConfigKeyMarkerExemptsOnlyTheHandler)
+{
+    // A switch System sets from the environment carries no config key:
+    // `pra-lint: no-config-key` on the line above exempts it from the
+    // handler check, but not from the canonical key.
+    const std::vector<SourceFile> files{
+        {"src/dram/config.h",
+         "struct DramConfig\n"
+         "{\n"
+         "    unsigned channels = 2;\n"
+         "    // pra-lint: no-config-key\n"
+         "    bool envSwitch = false;   // pra-lint: observational\n"
+         "    // pra-lint: no-config-key\n"
+         "    unsigned envKnob = 0;\n"
+         "};\n"},
+        {"src/sim/system.h", drill::kSystemHeader},
+        {"src/sim/config_io.cpp",
+         "std::string canonicalConfig(const SystemConfig &cfg)\n"
+         "{ return std::to_string(cfg.dram.channels); }\n"
+         "void applyConfigLine(SystemConfig &c)\n"
+         "{ c.dram.channels = 1; c.enableAudit = true; }\n"}};
+    const auto issues =
+        issuesOfRule(lintSources(files), "config-coverage");
+    ASSERT_EQ(issues.size(), 1u) << joined(issues);
+    EXPECT_NE(issues[0].message.find("envKnob"), std::string::npos);
+    EXPECT_NE(issues[0].message.find("canonicalConfig"), std::string::npos);
 }
 
 TEST(ConfigCoverageRule, MentionInsideDumpConfigDoesNotCount)

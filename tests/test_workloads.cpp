@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "workloads/factory.h"
 #include "workloads/kernels.h"
@@ -290,7 +291,10 @@ TEST_P(PresetSweep, OpsWellFormed)
 
 INSTANTIATE_TEST_SUITE_P(SpecPresets, PresetSweep,
                          ::testing::Values("bzip2", "lbm", "libquantum",
-                                           "mcf", "omnetpp"));
+                                           "mcf", "omnetpp"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 } // namespace
 } // namespace pra::workloads
