@@ -8,6 +8,7 @@
 #include "core/scheme.h"
 
 #include <cctype>
+#include <ostream>
 #include <stdexcept>
 
 #include "common/hash.h"
@@ -324,6 +325,12 @@ const SchemeModel &
 baselineScheme()
 {
     return *allSchemes().front();
+}
+
+void
+PrintTo(const SchemeModel *scheme, std::ostream *os)
+{
+    *os << (scheme != nullptr ? scheme->name() : "null");
 }
 
 } // namespace pra

@@ -50,6 +50,7 @@
 #ifndef PRA_CORE_SCHEME_H
 #define PRA_CORE_SCHEME_H
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -311,6 +312,14 @@ std::string registeredSchemeNames();
 
 /** The conventional-DDR3 baseline scheme (DramConfig's default). */
 const SchemeModel &baselineScheme();
+
+/**
+ * Prints a scheme pointer as its registry name ("null" for nullptr).
+ * googletest finds this by argument-dependent lookup, so a test
+ * parameterised over schemes carries the scheme's name rather than a
+ * process address in its printed parameter (and hence its ctest name).
+ */
+void PrintTo(const SchemeModel *scheme, std::ostream *os);
 
 } // namespace pra
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 
 #include "dram/checker.h"
-#include "scheme_param_name.h"
 #include "sim/experiment.h"
 
 namespace pra::dram {
@@ -288,13 +287,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(&schemeByName("baseline"), &schemeByName("fga"), &schemeByName("halfdram"),
                           &schemeByName("pra"), &schemeByName("halfdram+pra")),
         ::testing::Values(PagePolicy::RelaxedClose,
-                          PagePolicy::RestrictedClose)),
-    [](const auto &info) {
-        return test::schemeParamName(*std::get<0>(info.param)) +
-               (std::get<1>(info.param) == PagePolicy::RelaxedClose
-                    ? "_relaxed"
-                    : "_restricted");
-    });
+                          PagePolicy::RestrictedClose)));
 
 } // namespace
 } // namespace pra::dram

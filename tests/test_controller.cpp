@@ -9,7 +9,6 @@
 
 #include "dram/address_mapping.h"
 #include "dram/controller.h"
-#include "scheme_param_name.h"
 
 namespace pra::dram {
 namespace {
@@ -396,10 +395,7 @@ TEST_P(ControllerSchemeSweep, AllRequestsServiced)
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ControllerSchemeSweep,
                          ::testing::Values(&schemeByName("baseline"), &schemeByName("fga"),
                                            &schemeByName("halfdram"), &schemeByName("pra"),
-                                           &schemeByName("halfdram+pra")),
-                         [](const auto &info) {
-                             return test::schemeParamName(*info.param);
-                         });
+                                           &schemeByName("halfdram+pra")));
 
 } // namespace
 } // namespace pra::dram

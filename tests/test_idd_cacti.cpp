@@ -119,8 +119,7 @@ TEST_P(CactiTable3, ActPowerWithinEightPercentOfPaper)
 }
 
 INSTANTIATE_TEST_SUITE_P(Granularities, CactiTable3,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
-                         ::testing::PrintToStringParamName());
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 TEST(PowerParams, DeriveFromCactiOverwritesCurve)
 {

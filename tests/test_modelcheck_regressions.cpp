@@ -107,10 +107,7 @@ INSTANTIATE_TEST_SUITE_P(AllFaults, FaultCatch,
                          ::testing::Values(Fault::WidenAct,
                                            Fault::IgnoreTccdL,
                                            Fault::IgnoreTwtr,
-                                           Fault::DropCount),
-                         [](const auto &info) {
-                             return std::string(faultName(info.param));
-                         });
+                                           Fault::DropCount));
 
 TEST(ModelCheck, UnfaultedExplorationIsClean)
 {

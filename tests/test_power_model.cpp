@@ -216,8 +216,7 @@ TEST_P(BreakdownTotal, SumsMatch)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BreakdownTotal,
-                         ::testing::Range(1u, 21u),
-                         ::testing::PrintToStringParamName());
+                         ::testing::Range(1u, 21u));
 
 } // namespace
 } // namespace pra::power

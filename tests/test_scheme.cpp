@@ -10,14 +10,12 @@
 
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 
 #include "core/scheme.h"
-#include "scheme_param_name.h"
 
 namespace pra {
 namespace {
@@ -434,7 +432,12 @@ TEST_P(SchemeConformance, WriteAlgebraHelpersAreConsistent)
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeConformance,
                          ::testing::ValuesIn(allSchemes()),
                          [](const auto &info) {
-                             return test::schemeParamName(*info.param);
+                             std::string n = info.param->name();
+                             for (char &c : n)
+                                 if (!std::isalnum(
+                                         static_cast<unsigned char>(c)))
+                                     c = '_';
+                             return n;
                          });
 
 /** Property sweep: every scheme, every mask, invariants hold. */
@@ -468,14 +471,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeMaskSweep,
     ::testing::Combine(::testing::ValuesIn(allSchemes()),
                        ::testing::Values(0x00, 0x01, 0x80, 0x81, 0x0f,
-                                         0xff, 0x55, 0x10)),
-    [](const auto &info) {
-        char mask[8];
-        std::snprintf(mask, sizeof mask, "%02x",
-                      static_cast<unsigned>(std::get<1>(info.param)));
-        return test::schemeParamName(*std::get<0>(info.param)) + "_mask" +
-               mask;
-    });
+                                         0xff, 0x55, 0x10)));
 
 } // namespace
 } // namespace pra

@@ -8,7 +8,6 @@
 
 #include <map>
 #include <set>
-#include <string>
 
 #include "workloads/factory.h"
 #include "workloads/kernels.h"
@@ -291,10 +290,7 @@ TEST_P(PresetSweep, OpsWellFormed)
 
 INSTANTIATE_TEST_SUITE_P(SpecPresets, PresetSweep,
                          ::testing::Values("bzip2", "lbm", "libquantum",
-                                           "mcf", "omnetpp"),
-                         [](const auto &info) {
-                             return std::string(info.param);
-                         });
+                                           "mcf", "omnetpp"));
 
 } // namespace
 } // namespace pra::workloads
