@@ -8,8 +8,10 @@
  *
  * The sweep is run twice through one Runner — cold, then warm against
  * the result cache — and a machine-readable timing summary lands in
- * BENCH_sweep.json (wall seconds, simulated cycles, and the event
- * engine's skip/wake counters per pass, DESIGN.md §11).
+ * BENCH_sweep.json (wall seconds and simulated cycles per pass, plus
+ * the event engine's skip/wake counters for the cold pass, DESIGN.md
+ * §11; the warm pass is served from the cache, whose results carry no
+ * engine counters).
  *
  * Modes:
  *  - PRA_SMOKE=1 shrinks the grid (3 workloads x {Baseline, Pra},
@@ -134,15 +136,24 @@ timedRun(sim::Runner &runner, const std::vector<sim::SweepJob> &jobs,
     return results;
 }
 
+/**
+ * Write pass @p name. @p engine_counters adds the event engine's
+ * counters; a pass served from the result cache leaves them out, because
+ * a cached RunResult carries no EngineStats and they would read 0.
+ */
 void
-jsonPass(std::ostream &os, const char *name, const PassTotals &p)
+jsonPass(std::ostream &os, const char *name, const PassTotals &p,
+         bool engine_counters = true)
 {
     os << "  \"" << name << "\": {\"wall_s\": " << p.wallSecs
-       << ", \"dram_cycles\": " << p.dramCycles
-       << ", \"skipped_ticks\": " << p.skippedTicks
-       << ", \"events_popped\": " << p.eventsPopped
-       << ", \"rounds\": " << p.rounds << ", \"heap_peak\": " << p.heapPeak
-       << "}";
+       << ", \"dram_cycles\": " << p.dramCycles;
+    if (engine_counters) {
+        os << ", \"skipped_ticks\": " << p.skippedTicks
+           << ", \"events_popped\": " << p.eventsPopped
+           << ", \"rounds\": " << p.rounds
+           << ", \"heap_peak\": " << p.heapPeak;
+    }
+    os << "}";
 }
 
 void
@@ -276,7 +287,7 @@ main(int argc, char **argv)
         jsonHeader(out, "export", smoke, jobs.size(), target);
         jsonPass(out, "cold", cold);
         out << ",\n";
-        jsonPass(out, "warm", warm);
+        jsonPass(out, "warm", warm, false);
         out << "\n}\n";
     }
 

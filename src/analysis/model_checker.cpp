@@ -350,7 +350,6 @@ class Explorer
         std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
         Request &req = q[idx];
         dram::Rank &rank = s.banks.rank(req.loc.rank);
-        dram::Bank &bank = rank.bank(req.loc.bank);
 
         const WordMask dirty =
             is_write ? mergedWriteMask(s, req)
@@ -389,7 +388,8 @@ class Explorer
                 ": ACT opens mask beyond the scheme-derived union of "
                 "served dirty MAT groups";
         }
-        bank.activate(s.now, req.loc.row, open_mask, partial);
+        rank.activateBank(req.loc.bank, s.now, req.loc.row, open_mask,
+                          partial);
         rank.recordActivation(s.now, weight);
         // The implementation model counts through the (possibly faulted)
         // PRAC state machine; the spec shadow counts *every* ACT. Their
@@ -489,7 +489,7 @@ class Explorer
         path.push_back(sc);
 
         const std::string v = observe(s, sc.checked());
-        s.banks.bank(r, b).precharge(s.now);
+        s.banks.rank(r).prechargeBank(b, s.now);
         if (!auto_pre)
             s.bus.holdCmdBus(s.now);
         s.banks.onPrecharge(r, b);

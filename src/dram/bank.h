@@ -65,22 +65,16 @@ class Bank
     std::uint32_t stateEpoch() const { return stateEpoch_; }
 
     // --- Command effects --------------------------------------------------
-
-    /**
-     * Activate @p row covering @p mask at cycle @p now.
-     * @param partial  True when a PRA mask must be delivered first, which
-     *                 delays sensing by praMaskCycles (paper Fig. 7a).
-     */
-    void activate(Cycle now, std::uint32_t row, WordMask mask, bool partial);
+    //
+    // Activate and precharge change the open state, which the owning
+    // Rank mirrors in its open-bank mask; they are private so every such
+    // change goes through Rank::activateBank / Rank::prechargeBank.
 
     /** Column read at @p now; burst occupies @p burst_cycles. */
     void read(Cycle now, unsigned burst_cycles);
 
     /** Column write at @p now; data arrives after WL. */
     void write(Cycle now, unsigned burst_cycles);
-
-    /** Precharge at @p now. */
-    void precharge(Cycle now);
 
     /** Block activations until @p until (refresh / power-down exit). */
     void
@@ -126,6 +120,18 @@ class Bank
     }
 
   private:
+    friend class Rank;
+
+    /**
+     * Activate @p row covering @p mask at cycle @p now.
+     * @param partial  True when a PRA mask must be delivered first, which
+     *                 delays sensing by praMaskCycles (paper Fig. 7a).
+     */
+    void activate(Cycle now, std::uint32_t row, WordMask mask, bool partial);
+
+    /** Precharge at @p now. */
+    void precharge(Cycle now);
+
     BankTables t_;
     RowBufferState rowBuf_;
 

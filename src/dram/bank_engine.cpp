@@ -8,6 +8,7 @@ BankEngine::BankEngine(const DramConfig &cfg) : cfg_(&cfg)
     for (unsigned r = 0; r < cfg.ranksPerChannel; ++r)
         ranks_.emplace_back(cfg, r);
     bankInfo_.resize(cfg.ranksPerChannel * cfg.banksPerRank);
+    rankQueued_.resize(cfg.ranksPerChannel);
 }
 
 void

@@ -78,15 +78,7 @@ class BankEngine
     }
 
     /** Any queued request targeting rank @p r. */
-    bool
-    anyQueuedInRank(unsigned r) const
-    {
-        for (unsigned b = 0; b < cfg_->banksPerRank; ++b) {
-            if (info(r, b).queued > 0)
-                return true;
-        }
-        return false;
-    }
+    bool anyQueuedInRank(unsigned r) const { return rankQueued_[r] > 0; }
 
     /** Account a newly queued @p req (also primes its probe cache). */
     void
@@ -94,6 +86,7 @@ class BankEngine
     {
         BankInfo &bi = info(req.loc.rank, req.loc.bank);
         ++bi.queued;
+        ++rankQueued_[req.loc.rank];
         if (probe(req) == RowProbe::Hit)
             ++bi.openRowMatches;
     }
@@ -104,6 +97,7 @@ class BankEngine
     {
         BankInfo &bi = info(req.loc.rank, req.loc.bank);
         --bi.queued;
+        --rankQueued_[req.loc.rank];
         if (bi.openRowMatches > 0)
             --bi.openRowMatches;
     }
@@ -125,10 +119,12 @@ class BankEngine
                                std::deque<Request> &writeQ);
 
     /**
-     * Analysis probe seam: fold every rank/bank FSM plus the pending-work
-     * counters into @p h, timing registers normalized to @p now and
-     * saturated at @p horizon (see Bank::fingerprint). Used by the
-     * offline model checker (src/analysis) for state deduplication.
+     * Analysis probe seam: fold every rank/bank FSM plus the per-bank
+     * pending-work counters into @p h, timing registers normalized to
+     * @p now and saturated at @p horizon (see Bank::fingerprint). The
+     * per-rank queued sums and the open-bank masks are derived from
+     * those and stay out. Used by the offline model checker
+     * (src/analysis) for state deduplication.
      */
     void fingerprint(Fnv1a &h, Cycle now, Cycle horizon) const;
 
@@ -151,6 +147,7 @@ class BankEngine
     const DramConfig *cfg_;
     std::vector<Rank> ranks_;
     std::vector<BankInfo> bankInfo_;
+    std::vector<unsigned> rankQueued_;   //!< Sum of queued over a rank.
 };
 
 } // namespace pra::dram

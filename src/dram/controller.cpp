@@ -222,7 +222,6 @@ MemoryController::issueActivate(Request &req, bool is_write, Cycle now)
 {
     roundActivity_ = true;
     Rank &rank = banks_.rank(req.loc.rank);
-    Bank &bank = rank.bank(req.loc.bank);
 
     // Demand driving this activation: the merged dirty-word mask for
     // writes, the scheme's (speculative) read mask — or the full row
@@ -249,7 +248,7 @@ MemoryController::issueActivate(Request &req, bool is_write, Cycle now)
                            req.loc.rank, req.loc.bank, req.loc.row,
                            partial, weight, 0});
     }
-    bank.activate(now, req.loc.row, open_mask, partial);
+    rank.activateBank(req.loc.bank, now, req.loc.row, open_mask, partial);
     rank.recordActivation(now, weight);
     prac_.onActivate(req.loc.rank, req.loc.bank, req.loc.row, partial, now);
     if (audit_) {
@@ -358,7 +357,7 @@ MemoryController::issuePrecharge(unsigned rank_id, unsigned bank_id,
         checker_->observe({CheckedCommand::Kind::Precharge, now, rank_id,
                            bank_id, 0, false, 0.0, 0});
     }
-    banks_.bank(rank_id, bank_id).precharge(now);
+    banks_.rank(rank_id).prechargeBank(bank_id, now);
     bus_.holdCmdBus(now);
     ++stats_.precharges;
     banks_.onPrecharge(rank_id, bank_id);
@@ -381,7 +380,7 @@ MemoryController::issueAutoPrecharge(unsigned rank_id, unsigned bank_id,
         checker_->observe({CheckedCommand::Kind::Precharge, now, rank_id,
                            bank_id, 0, false, 0.0, 0});
     }
-    banks_.bank(rank_id, bank_id).precharge(now);
+    banks_.rank(rank_id).prechargeBank(bank_id, now);
     ++stats_.precharges;
     banks_.onPrecharge(rank_id, bank_id);
     if (audit_) {

@@ -141,6 +141,8 @@ struct EngineStats
     std::uint64_t eventsPopped = 0; //!< Heap entries consumed.
     std::uint64_t heapPushes = 0;   //!< Candidates published.
     std::uint64_t heapPeak = 0;     //!< Max heap occupancy observed.
+    /** Banks the maintenance engine examined (its scans and wake bound). */
+    std::uint64_t maintBankVisits = 0;
 };
 
 /** One channel: queues + command mechanisms over the four layers. */
@@ -203,8 +205,14 @@ class MemoryController : private MaintenanceHooks
         return energy_;
     }
 
-    /** Event-engine counters. */
-    const EngineStats &engineStats() const { return engineStats_; }
+    /** Event-engine counters, with the maintenance engine's work count. */
+    EngineStats
+    engineStats() const
+    {
+        EngineStats s = engineStats_;
+        s.maintBankVisits = maint_.bankVisits();
+        return s;
+    }
 
     unsigned numRanks() const { return banks_.numRanks(); }
     const Rank &rank(unsigned r) const { return banks_.rank(r); }
@@ -214,6 +222,9 @@ class MemoryController : private MaintenanceHooks
 
     /** The scheduling policy driving request selection. */
     const SchedulerPolicy &schedulerPolicy() const { return *sched_; }
+
+    /** PRAC counters/alert state (inert unless DramConfig::pracEnabled). */
+    const PracState &prac() const { return prac_; }
 
     /** Maintenance engine; registerOp() is the extension seam. */
     MaintenanceEngine &maintenance() { return maint_; }

@@ -136,13 +136,14 @@ DramSystem::engineStats() const
 {
     EngineStats agg;
     for (const auto &ch : channels_) {
-        const EngineStats &e = ch.engineStats();
+        const EngineStats e = ch.engineStats();
         agg.rounds += e.rounds;
         agg.skippedTicks += e.skippedTicks;
         agg.wakeups += e.wakeups;
         agg.eventsPopped += e.eventsPopped;
         agg.heapPushes += e.heapPushes;
         agg.heapPeak = std::max(agg.heapPeak, e.heapPeak);
+        agg.maintBankVisits += e.maintBankVisits;
     }
     return agg;
 }

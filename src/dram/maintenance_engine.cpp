@@ -1,8 +1,20 @@
 #include "dram/maintenance_engine.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace pra::dram {
+
+namespace {
+
+/** Lowest set bank of a non-zero open-bank mask. */
+unsigned
+lowestBank(std::uint64_t open)
+{
+    return static_cast<unsigned>(std::countr_zero(open));
+}
+
+} // namespace
 
 bool
 MaintenanceEngine::autoPreReady(const Bank &bank, Cycle now) const
@@ -50,9 +62,15 @@ MaintenanceEngine::closeEligible(unsigned r, unsigned b, const Bank &bank,
 std::vector<MaintenanceEngine::BankRef>
 MaintenanceEngine::autoPrechargeCandidates(Cycle now) const
 {
+    // A pending auto-precharge always sits on an open bank (the flag is
+    // set by a column command and cleared by ACT/PRE), so only open
+    // banks are visited — in ascending order, as a full scan would.
     std::vector<BankRef> out;
     for (unsigned r = 0; r < banks_->numRanks(); ++r) {
-        for (unsigned b = 0; b < banks_->rank(r).numBanks(); ++b) {
+        for (std::uint64_t open = banks_->rank(r).openBanks(); open != 0;
+             open &= open - 1) {
+            const unsigned b = lowestBank(open);
+            ++bankVisits_;
             if (autoPreReady(banks_->bank(r, b), now))
                 out.emplace_back(r, b);
         }
@@ -70,10 +88,14 @@ MaintenanceEngine::stepAutoPrecharge(Cycle now)
         return;
     // Auto-precharges are encoded in their column command, so every
     // ready one retires this cycle — no command-bus slot to arbitrate.
-    // Same (rank, bank) order as autoPrechargeCandidates(), without the
-    // per-round vector.
+    // Same (rank, open bank) order as autoPrechargeCandidates(), without
+    // the per-round vector. The mask is read before each retire clears
+    // its bit, so every bank open at entry is visited once.
     for (unsigned r = 0; r < banks_->numRanks(); ++r) {
-        for (unsigned b = 0; b < banks_->rank(r).numBanks(); ++b) {
+        for (std::uint64_t open = banks_->rank(r).openBanks(); open != 0;
+             open &= open - 1) {
+            const unsigned b = lowestBank(open);
+            ++bankVisits_;
             if (autoPreReady(banks_->bank(r, b), now))
                 hooks_->issueAutoPrecharge(r, b, now);
         }
@@ -107,11 +129,15 @@ MaintenanceEngine::tryRefresh(Cycle now)
 std::vector<MaintenanceEngine::BankRef>
 MaintenanceEngine::closeCandidates(Cycle now) const
 {
+    // Only open banks can be closed: visit the mask's set bits.
     std::vector<BankRef> out;
     for (unsigned r = 0; r < banks_->numRanks(); ++r) {
         const Rank &rank = banks_->rank(r);
         const bool want_maint = wantMaint(r, rank, now);
-        for (unsigned b = 0; b < rank.numBanks(); ++b) {
+        for (std::uint64_t open = rank.openBanks(); open != 0;
+             open &= open - 1) {
+            const unsigned b = lowestBank(open);
+            ++bankVisits_;
             if (closeEligible(r, b, rank.bank(b), want_maint, now))
                 out.emplace_back(r, b);
         }
@@ -126,7 +152,10 @@ MaintenanceEngine::tryMaintenanceClose(Cycle now)
     for (unsigned r = 0; r < banks_->numRanks(); ++r) {
         const Rank &rank = banks_->rank(r);
         const bool want_maint = wantMaint(r, rank, now);
-        for (unsigned b = 0; b < rank.numBanks(); ++b) {
+        for (std::uint64_t open = rank.openBanks(); open != 0;
+             open &= open - 1) {
+            const unsigned b = lowestBank(open);
+            ++bankVisits_;
             if (closeEligible(r, b, rank.bank(b), want_maint, now)) {
                 hooks_->issuePrecharge(r, b, now);
                 return true;
@@ -182,14 +211,22 @@ MaintenanceEngine::rfmWakeBound(Cycle now) const
         // round, which re-publishes. Only the time gates bound here.
         if (!rank.allBanksClosed())
             continue;
-        Cycle ready = prac_->rfmReadyAt(r);
-        for (unsigned b = 0; b < rank.numBanks(); ++b)
-            ready = std::max(ready, rank.bank(b).earliestActivate());
+        Cycle ready = std::max(prac_->rfmReadyAt(r), latestActGate(rank));
         if (rank.refreshing(now))
             ready = std::max(ready, rank.refreshDoneAt());
         consider(ready);
     }
     return next;
+}
+
+Cycle
+MaintenanceEngine::latestActGate(const Rank &rank) const
+{
+    Cycle ready = 0;
+    for (unsigned b = 0; b < rank.numBanks(); ++b)
+        ready = std::max(ready, rank.bank(b).earliestActivate());
+    bankVisits_ += rank.numBanks();
+    return ready;
 }
 
 Cycle
@@ -205,39 +242,35 @@ MaintenanceEngine::nextWakeAt(Cycle now) const
         // Refresh deadlines apply even to idle ranks; an in-progress
         // refresh re-enables activations when tRFC elapses.
         consider(rank.nextRefreshAt());
-        if (rank.refreshing(now))
+        const bool refreshing = rank.refreshing(now);
+        if (refreshing)
             consider(rank.refreshDoneAt());
-        const bool want_refresh = rank.refreshDue(now);
+        // Only open banks carry a close or auto-precharge deadline (a
+        // pending auto-precharge always sits on an open bank).
         const bool want_maint = wantMaint(r, rank, now);
-        bool all_closed = true;
-        Cycle refresh_ready = 0;
-        for (unsigned b = 0; b < rank.numBanks(); ++b) {
+        for (std::uint64_t open = rank.openBanks(); open != 0;
+             open &= open - 1) {
+            const unsigned b = lowestBank(open);
             const Bank &bank = rank.bank(b);
+            ++bankVisits_;
             if (bank.autoPrechargePending())
                 consider(bank.earliestPrecharge());
-            if (bank.isOpen()) {
-                all_closed = false;
-                const bool useless =
-                    banks_->openRowMatches(r, b) == 0 ||
-                    bank.hitCount() >= cfg_->rowHitCap;
-                // A close blocked only by its tRAS/tWR/tRTP gate fires
-                // exactly when the gate releases; a still-useful row is
-                // state-gated (its hits drain inside rounds). An RFM
-                // drain (PRAC alert) forces closes like a due refresh.
-                if ((cfg_->policy == PagePolicy::RelaxedClose && useless) ||
-                    want_maint) {
-                    consider(bank.earliestPrecharge());
-                }
-            } else {
-                refresh_ready = std::max(refresh_ready,
-                                         bank.earliestActivate());
+            const bool useless = banks_->openRowMatches(r, b) == 0 ||
+                                 bank.hitCount() >= cfg_->rowHitCap;
+            // A close blocked only by its tRAS/tWR/tRTP gate fires
+            // exactly when the gate releases; a still-useful row is
+            // state-gated (its hits drain inside rounds). An RFM drain
+            // (PRAC alert) forces closes like a due refresh.
+            if ((cfg_->policy == PagePolicy::RelaxedClose && useless) ||
+                want_maint) {
+                consider(bank.earliestPrecharge());
             }
         }
         // A due refresh with every bank closed becomes issuable the
         // cycle the last tRP expires. (RFM readiness publishes through
         // the prac_rfm op's own wake bound — rfmWakeBound().)
-        if (want_refresh && all_closed && !rank.refreshing(now))
-            consider(refresh_ready);
+        if (rank.refreshDue(now) && rank.allBanksClosed() && !refreshing)
+            consider(latestActGate(rank));
     }
     return next;
 }

@@ -22,6 +22,7 @@
 #define PRA_DRAM_MAINTENANCE_ENGINE_H
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -232,6 +233,13 @@ class MaintenanceEngine
     /** Banks whose pending auto-precharge can retire at @p now. */
     std::vector<BankRef> autoPrechargeCandidates(Cycle now) const;
 
+    /**
+     * Banks examined so far by the decision scans and wake bounds above
+     * (EngineStats::maintBankVisits). Observational: a work count that
+     * feeds no decision.
+     */
+    std::uint64_t bankVisits() const { return bankVisits_; }
+
   private:
     struct OpEntry
     {
@@ -251,12 +259,15 @@ class MaintenanceEngine
                        bool want_maint, Cycle now) const;
     /** Rank needs its banks shut: refresh due or PRAC alert pending. */
     bool wantMaint(unsigned r, const Rank &rank, Cycle now) const;
+    /** Latest earliestActivate over every bank of @p rank (tRP/tRFC). */
+    Cycle latestActGate(const Rank &rank) const;
 
     const DramConfig *cfg_;
     BankEngine *banks_;
     MaintenanceHooks *hooks_;
     const PracState *prac_ = nullptr;
     std::vector<OpEntry> ops_;
+    mutable std::uint64_t bankVisits_ = 0;   //!< See bankVisits().
 };
 
 } // namespace pra::dram

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace pra::dram {
 
@@ -10,6 +12,11 @@ Rank::Rank(const DramConfig &cfg, unsigned index) : cfg_(&cfg)
 {
     const TimingTables tables = TimingTables::build(cfg);
     t_ = tables.rank;
+    if (cfg.banksPerRank > kMaxBanks) {
+        throw std::invalid_argument(
+            "banks per rank must be at most " + std::to_string(kMaxBanks) +
+            ", got " + std::to_string(cfg.banksPerRank));
+    }
     banks_.reserve(cfg.banksPerRank);
     for (unsigned b = 0; b < cfg.banksPerRank; ++b)
         banks_.emplace_back(tables.bank);
@@ -17,13 +24,6 @@ Rank::Rank(const DramConfig &cfg, unsigned index) : cfg_(&cfg)
     // lockstep (matches real controller practice).
     nextRefresh_ = t_.refreshInterval +
                    index * (t_.refreshInterval / (cfg.ranksPerChannel + 1));
-}
-
-bool
-Rank::allBanksClosed() const
-{
-    return std::none_of(banks_.begin(), banks_.end(),
-                        [](const Bank &b) { return b.isOpen(); });
 }
 
 bool

@@ -13,6 +13,7 @@
 #ifndef PRA_DRAM_RANK_H
 #define PRA_DRAM_RANK_H
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -42,8 +43,37 @@ class Rank
     const Bank &bank(unsigned b) const { return banks_[b]; }
     unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
 
+    /** Widest rank the open-bank mask can describe. */
+    static constexpr unsigned kMaxBanks = 64;
+
+    /**
+     * Open-bank mask: bit b is set exactly when bank b has an open row.
+     * Derived state, kept in step by activateBank()/prechargeBank() —
+     * the only paths that change a bank's open state — and left out of
+     * fingerprint(). Scans that care only about open banks visit its set
+     * bits in ascending order, the same order as a full index loop.
+     */
+    std::uint64_t openBanks() const { return openBanks_; }
+
     /** True when no bank has an open row. */
-    bool allBanksClosed() const;
+    bool allBanksClosed() const { return openBanks_ == 0; }
+
+    /** Activate bank @p b (see Bank::activate) and mark it open. */
+    void
+    activateBank(unsigned b, Cycle now, std::uint32_t row, WordMask mask,
+                 bool partial)
+    {
+        banks_[b].activate(now, row, mask, partial);
+        openBanks_ |= std::uint64_t{1} << b;
+    }
+
+    /** Precharge bank @p b (see Bank::precharge) and mark it closed. */
+    void
+    prechargeBank(unsigned b, Cycle now)
+    {
+        banks_[b].precharge(now);
+        openBanks_ &= ~(std::uint64_t{1} << b);
+    }
 
     // --- Activation budget ------------------------------------------------
 
@@ -158,6 +188,7 @@ class Rank
     const DramConfig *cfg_;   //!< Power-down policy knobs only.
     RankTables t_;
     std::vector<Bank> banks_;
+    std::uint64_t openBanks_ = 0;   //!< Bit b: bank b has an open row.
 
     // Weighted tFAW window: (cycle, weight) of recent activations.
     mutable std::deque<std::pair<Cycle, double>> actWindow_;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/prac.h"
 #include "sim/experiment.h"
 #include "verify/auditor.h"
 
@@ -230,19 +231,48 @@ mentions(const Auditor &a, const char *needle)
     return false;
 }
 
+/** trackedSum == countedActs - mitigatedCount on every rank of @p prac. */
+void
+expectPracConserved(const dram::PracState &prac, unsigned ranks)
+{
+    for (unsigned r = 0; r < ranks; ++r) {
+        EXPECT_EQ(prac.trackedSum(r),
+                  prac.countedActs(r) - prac.mitigatedCount(r))
+            << "rank " << r;
+    }
+}
+
 TEST(Auditor, PracConservationCleanActRfmSequence)
 {
     // Hammer one row twice, then mitigate it: the controller's reported
     // tracked sums (1, 2, then 0 after the RFM clears 2) satisfy
-    // trackedSum == acts - mitigated at every step.
+    // trackedSum == acts - mitigated at every step. A real PracState
+    // runs the same sequence, so the reported sums are its own and the
+    // identity is checked on its counters at the end.
     const AuditConfig ac = pracOnConfig();
+    dram::DramConfig dc;
+    dc.pracEnabled = true;
+    dc.pracCamEntries = ac.pracCamEntries;
+    dram::PracState prac(dc);
     Auditor a(ac);
-    a.onCommand(pracAct(ac, 7, 1, 100));
+    prac.onActivate(0, 0, 7, false, 100);
+    EXPECT_EQ(prac.trackedSum(0), 1u);
+    a.onCommand(pracAct(ac, 7, prac.trackedSum(0), 100));
     a.onCommand(preEvent(110));
-    a.onCommand(pracAct(ac, 7, 2, 120));
+    prac.onActivate(0, 0, 7, false, 120);
+    EXPECT_EQ(prac.trackedSum(0), 2u);
+    a.onCommand(pracAct(ac, 7, prac.trackedSum(0), 120));
     a.onCommand(preEvent(130));
-    a.onCommand(rfmEvent(150, 7, 2, 0));
+    const dram::PracMitigation mit = prac.applyRfm(0, 150);
+    EXPECT_EQ(mit.row, 7u);
+    EXPECT_EQ(mit.cleared, 2u);
+    a.onCommand(rfmEvent(150, mit.row, mit.cleared, prac.trackedSum(0)));
     EXPECT_TRUE(a.clean()) << a.report();
+
+    EXPECT_EQ(prac.trackedSum(0), 0u);
+    EXPECT_EQ(prac.countedActs(0), 2u);
+    EXPECT_EQ(prac.mitigatedCount(0), 2u);
+    expectPracConserved(prac, dc.ranksPerChannel);
 }
 
 TEST(Auditor, PracDroppedCountFlagged)
@@ -385,6 +415,20 @@ TEST(AuditorEndToEnd, PracRunAuditedCleanWithRealRfms)
     EXPECT_GT(res.dramStats.rfms, 0u);
     ASSERT_NE(view->auditor(), nullptr);
     EXPECT_TRUE(view->auditor()->clean()) << view->auditor()->report();
+
+    // The identity the auditor checks event by event also holds on each
+    // controller's own counters at the end of the run.
+    std::uint64_t counted = 0, mitigated = 0;
+    for (unsigned c = 0; c < view->dram().numChannels(); ++c) {
+        const dram::PracState &prac = view->dram().channel(c).prac();
+        expectPracConserved(prac, cfg.dram.ranksPerChannel);
+        for (unsigned r = 0; r < cfg.dram.ranksPerChannel; ++r) {
+            counted += prac.countedActs(r);
+            mitigated += prac.mitigatedCount(r);
+        }
+    }
+    EXPECT_GT(counted, 0u);
+    EXPECT_GT(mitigated, 0u);
 }
 
 TEST(AuditorEndToEnd, InjectedMaskWideningIsCaught)

@@ -2,24 +2,30 @@
  * @file
  * Timing-constraint tests for the Bank FSM (tRCD/tRAS/tRP/tRC/tRTP/tWR,
  * PRA mask-delivery delay) and the Rank (weighted tFAW window, tRRD,
- * refresh scheduling, power-down).
+ * refresh scheduling, power-down, open-bank mask). A bank opens and
+ * closes only through its Rank, so the Bank tests drive bank 0 of one.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
+#include "common/rng.h"
 #include "dram/rank.h"
 
 namespace pra::dram {
 namespace {
 
 const Timing kT{};   // DDR3-1600 defaults.
-/** Bank-level gap table derived from the same defaults. */
-const BankTables kBank = TimingTables::build(DramConfig{}).bank;
+/** Default configuration; its timings are the kT defaults above. */
+const DramConfig kCfg{};
 
 TEST(Bank, ActivateThenColumnAfterTrcd)
 {
-    Bank b(kBank);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
     EXPECT_TRUE(b.canActivate(0));
-    b.activate(100, 7, WordMask::full(), false);
+    r.activateBank(0, 100, 7, WordMask::full(), false);
     EXPECT_FALSE(b.canActivate(100));   // Row open.
     EXPECT_FALSE(b.canRead(100 + kT.tRcd - 1));
     EXPECT_TRUE(b.canRead(100 + kT.tRcd));
@@ -28,8 +34,9 @@ TEST(Bank, ActivateThenColumnAfterTrcd)
 
 TEST(Bank, PartialActivationAddsMaskCycle)
 {
-    Bank b(kBank);
-    b.activate(100, 7, WordMask::single(0), true);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 100, 7, WordMask::single(0), true);
     // Paper Fig. 7a: column command after tRCD + tCK.
     EXPECT_FALSE(b.canWrite(100 + kT.tRcd));
     EXPECT_TRUE(b.canWrite(100 + kT.tRcd + kT.praMaskCycles));
@@ -37,16 +44,18 @@ TEST(Bank, PartialActivationAddsMaskCycle)
 
 TEST(Bank, PrechargeGatedByTras)
 {
-    Bank b(kBank);
-    b.activate(50, 3, WordMask::full(), false);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 50, 3, WordMask::full(), false);
     EXPECT_FALSE(b.canPrecharge(50 + kT.tRas - 1));
     EXPECT_TRUE(b.canPrecharge(50 + kT.tRas));
 }
 
 TEST(Bank, ReadPushesPrechargeByTrtp)
 {
-    Bank b(kBank);
-    b.activate(0, 3, WordMask::full(), false);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 0, 3, WordMask::full(), false);
     const Cycle rd = 0 + kT.tRas - 2;   // Late read.
     b.read(rd, kT.burstCycles);
     EXPECT_FALSE(b.canPrecharge(kT.tRas));
@@ -55,8 +64,9 @@ TEST(Bank, ReadPushesPrechargeByTrtp)
 
 TEST(Bank, WritePushesPrechargeByWriteRecovery)
 {
-    Bank b(kBank);
-    b.activate(0, 3, WordMask::full(), false);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 0, 3, WordMask::full(), false);
     const Cycle wr = kT.tRcd;
     b.write(wr, kT.burstCycles);
     const Cycle expect = wr + kT.wl + kT.burstCycles + kT.tWr;
@@ -66,9 +76,10 @@ TEST(Bank, WritePushesPrechargeByWriteRecovery)
 
 TEST(Bank, RowCycleLimitsBackToBackActivations)
 {
-    Bank b(kBank);
-    b.activate(0, 1, WordMask::full(), false);
-    b.precharge(kT.tRas);   // Earliest legal precharge.
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 0, 1, WordMask::full(), false);
+    r.prechargeBank(0, kT.tRas);   // Earliest legal precharge.
     // tRP after PRE would allow tRAS + tRP = tRC; also gated by tRC.
     EXPECT_FALSE(b.canActivate(kT.tRas + kT.tRp - 1));
     EXPECT_TRUE(b.canActivate(kT.tRc));
@@ -76,8 +87,9 @@ TEST(Bank, RowCycleLimitsBackToBackActivations)
 
 TEST(Bank, ColumnToColumnGapTccd)
 {
-    Bank b(kBank);
-    b.activate(0, 1, WordMask::full(), false);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 0, 1, WordMask::full(), false);
     b.read(kT.tRcd, kT.burstCycles);
     EXPECT_FALSE(b.canRead(kT.tRcd + kT.tCcd - 1));
     EXPECT_TRUE(b.canRead(kT.tRcd + kT.tCcd));
@@ -85,13 +97,14 @@ TEST(Bank, ColumnToColumnGapTccd)
 
 TEST(Bank, HitCountTracksColumnAccesses)
 {
-    Bank b(kBank);
-    b.activate(0, 1, WordMask::full(), false);
+    Rank r(kCfg, 0);
+    Bank &b = r.bank(0);
+    r.activateBank(0, 0, 1, WordMask::full(), false);
     EXPECT_EQ(b.hitCount(), 0u);
     b.recordHit();
     b.recordHit();
     EXPECT_EQ(b.hitCount(), 2u);
-    b.precharge(kT.tRas);
+    r.prechargeBank(0, kT.tRas);
     EXPECT_EQ(b.hitCount(), 0u);
 }
 
@@ -181,9 +194,9 @@ TEST(Rank, RefreshRequiresAllBanksClosed)
 {
     const DramConfig cfg = rankConfig();
     Rank r(cfg, 0);
-    r.bank(2).activate(0, 9, WordMask::full(), false);
+    r.activateBank(2, 0, 9, WordMask::full(), false);
     EXPECT_FALSE(r.canRefresh(kT.tRefi));
-    r.bank(2).precharge(kT.tRas);
+    r.prechargeBank(2, kT.tRas);
     // tRP must also have elapsed.
     EXPECT_FALSE(r.canRefresh(kT.tRas + kT.tRp - 1));
     EXPECT_TRUE(r.canRefresh(kT.tRc));
@@ -222,9 +235,73 @@ TEST(Rank, PowerStateReflectsOpenBanks)
     const DramConfig cfg = rankConfig();
     Rank r(cfg, 0);
     EXPECT_EQ(r.powerState(0), RankState::PrechargeStandby);
-    r.bank(1).activate(0, 4, WordMask::full(), false);
+    r.activateBank(1, 0, 4, WordMask::full(), false);
     EXPECT_EQ(r.powerState(1), RankState::ActiveStandby);
     EXPECT_FALSE(r.allBanksClosed());
+}
+
+/** The open-bank mask recomputed from every bank's own row state. */
+std::uint64_t
+recomputedOpenMask(const Rank &r)
+{
+    std::uint64_t mask = 0;
+    for (unsigned b = 0; b < r.numBanks(); ++b) {
+        if (r.bank(b).isOpen())
+            mask |= std::uint64_t{1} << b;
+    }
+    return mask;
+}
+
+TEST(Rank, OpenBankMaskTracksRandomActivatePrecharge)
+{
+    // A seeded random ACT/PRE sequence over a 16-bank rank, timing
+    // ignored (the mask follows open state, not legality): after every
+    // step the mask must equal the one recomputed from Bank::isOpen(),
+    // also in a copy (warm forks and model-checker states copy ranks).
+    DramConfig cfg = rankConfig();
+    cfg.banksPerRank = 16;
+    Rank r(cfg, 0);
+    Rng rng(26);
+    unsigned opened = 0;
+    for (Cycle now = 0; now < 4000; ++now) {
+        const auto b = static_cast<unsigned>(rng.below(cfg.banksPerRank));
+        if (r.bank(b).isOpen()) {
+            r.prechargeBank(b, now);
+        } else {
+            r.activateBank(b, now, static_cast<std::uint32_t>(rng.below(8)),
+                           WordMask::full(), rng.chance(0.5));
+            ++opened;
+        }
+        ASSERT_EQ(r.openBanks(), recomputedOpenMask(r)) << "cycle " << now;
+        ASSERT_EQ(r.allBanksClosed(), r.openBanks() == 0);
+        if (now % 97 == 0) {
+            const Rank copy = r;
+            ASSERT_EQ(copy.openBanks(), recomputedOpenMask(copy));
+        }
+    }
+    EXPECT_GT(opened, 1000u);
+}
+
+TEST(Rank, OpenBankMaskCoversEveryBankIndex)
+{
+    // The widest rank the mask describes: bank 63 maps to the top bit.
+    DramConfig cfg = rankConfig();
+    cfg.banksPerRank = Rank::kMaxBanks;
+    Rank r(cfg, 0);
+    r.activateBank(Rank::kMaxBanks - 1, 0, 1, WordMask::full(), false);
+    r.activateBank(0, 0, 1, WordMask::full(), false);
+    EXPECT_EQ(r.openBanks(), (std::uint64_t{1} << 63) | 1u);
+    r.prechargeBank(Rank::kMaxBanks - 1, kT.tRas);
+    EXPECT_EQ(r.openBanks(), 1u);
+    r.prechargeBank(0, kT.tRas);
+    EXPECT_TRUE(r.allBanksClosed());
+}
+
+TEST(Rank, RejectsMoreBanksThanTheOpenMaskHolds)
+{
+    DramConfig cfg = rankConfig();
+    cfg.banksPerRank = Rank::kMaxBanks + 1;
+    EXPECT_THROW(Rank(cfg, 0), std::invalid_argument);
 }
 
 } // namespace

@@ -12,14 +12,20 @@
  * rather than silently sleep. Then end-to-end: a PRAC-enabled system
  * forked from a warm snapshot re-registers the prac_rfm op in its fresh
  * controller and must match a cold run bit-exactly, and the canonical
- * config names the op (the maintop-coverage lint handle).
+ * config names the op (the maintop-coverage lint handle). In between,
+ * the open-bank scans (each rank's open-bank mask) are held to the full
+ * ranks x banks scans they replaced over seeded random command runs.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "dram/bank_engine.h"
 #include "dram/maintenance_engine.h"
 #include "sim/config_io.h"
@@ -152,6 +158,437 @@ TEST(MaintenanceOps, OpaqueOpsForcePerCyclePollingNotSleep)
         [](Cycle) { return Cycle{42}; });
     EXPECT_TRUE(maint.hasOpaqueOps());
     EXPECT_EQ(maint.opWakeBound(5), 42u);
+}
+
+// --- Open-bank scans against full scans -----------------------------------
+//
+// The decision scans and the wake bound visit only the banks set in each
+// rank's open-bank mask. The tests below drive a seeded random command
+// sequence and, after every step, hold the engine to the full
+// ranks x banks scan it replaced.
+
+using BankRef = MaintenanceEngine::BankRef;
+
+/** Records what the engine would issue; changes no state. */
+struct RecordingHooks final : MaintenanceHooks
+{
+    std::vector<BankRef> closes, autoPres;
+    std::vector<unsigned> refreshes, rfms;
+
+    void
+    issuePrecharge(unsigned r, unsigned b, Cycle) override
+    {
+        closes.emplace_back(r, b);
+    }
+    void
+    issueAutoPrecharge(unsigned r, unsigned b, Cycle) override
+    {
+        autoPres.emplace_back(r, b);
+    }
+    void issueRefresh(unsigned r, Cycle) override { refreshes.push_back(r); }
+    void issueRfm(unsigned r, Cycle) override { rfms.push_back(r); }
+};
+
+/** Applies each maintenance command the way the controller does. */
+struct ApplyingHooks final : MaintenanceHooks
+{
+    BankEngine *banks;
+    PracState *prac;
+    unsigned closes = 0, autoPres = 0, refreshes = 0, rfms = 0;
+
+    ApplyingHooks(BankEngine &b, PracState &p) : banks(&b), prac(&p) {}
+
+    void
+    issuePrecharge(unsigned r, unsigned b, Cycle now) override
+    {
+        banks->rank(r).prechargeBank(b, now);
+        banks->onPrecharge(r, b);
+        ++closes;
+    }
+    void
+    issueAutoPrecharge(unsigned r, unsigned b, Cycle now) override
+    {
+        banks->rank(r).prechargeBank(b, now);
+        banks->onPrecharge(r, b);
+        ++autoPres;
+    }
+    void
+    issueRefresh(unsigned r, Cycle now) override
+    {
+        banks->rank(r).refresh(now);
+        ++refreshes;
+    }
+    void
+    issueRfm(unsigned r, Cycle now) override
+    {
+        prac->applyRfm(r, now);
+        banks->rank(r).rfm(now);
+        ++rfms;
+    }
+};
+
+/**
+ * The wake bound as a full ranks x banks scan: every bank of every rank
+ * is visited, and the refresh-ready maximum is taken over closed banks
+ * as the loop goes. This is the form the open-bank scan replaced.
+ */
+Cycle
+fullScanNextWake(const DramConfig &cfg, const BankEngine &banks,
+                 const PracState *prac, Cycle now)
+{
+    Cycle next = kNever;
+    auto consider = [&](Cycle c) {
+        if (c > now && c < next)
+            next = c;
+    };
+    for (unsigned r = 0; r < banks.numRanks(); ++r) {
+        const Rank &rank = banks.rank(r);
+        consider(rank.nextRefreshAt());
+        if (rank.refreshing(now))
+            consider(rank.refreshDoneAt());
+        const bool want_maint =
+            rank.refreshDue(now) || (prac && prac->alertActive(r));
+        bool all_closed = true;
+        Cycle refresh_ready = 0;
+        for (unsigned b = 0; b < rank.numBanks(); ++b) {
+            const Bank &bank = rank.bank(b);
+            if (bank.autoPrechargePending())
+                consider(bank.earliestPrecharge());
+            if (bank.isOpen()) {
+                all_closed = false;
+                const bool useless = banks.openRowMatches(r, b) == 0 ||
+                                     bank.hitCount() >= cfg.rowHitCap;
+                if ((cfg.policy == PagePolicy::RelaxedClose && useless) ||
+                    want_maint) {
+                    consider(bank.earliestPrecharge());
+                }
+            } else {
+                refresh_ready =
+                    std::max(refresh_ready, bank.earliestActivate());
+            }
+        }
+        if (rank.refreshDue(now) && all_closed && !rank.refreshing(now))
+            consider(refresh_ready);
+    }
+    return next;
+}
+
+/**
+ * Close and auto-precharge candidates as full scans in (rank, bank)
+ * order, closed banks included — the order the open-bank scans must keep.
+ */
+std::vector<BankRef>
+fullScanCloses(const DramConfig &cfg, const BankEngine &banks,
+               const PracState *prac, Cycle now)
+{
+    std::vector<BankRef> out;
+    for (unsigned r = 0; r < banks.numRanks(); ++r) {
+        const Rank &rank = banks.rank(r);
+        const bool want_maint =
+            rank.refreshDue(now) || (prac && prac->alertActive(r));
+        for (unsigned b = 0; b < rank.numBanks(); ++b) {
+            const Bank &bank = rank.bank(b);
+            const bool useless = banks.openRowMatches(r, b) == 0 ||
+                                 bank.hitCount() >= cfg.rowHitCap;
+            if (bank.isOpen() && bank.canPrecharge(now) &&
+                ((cfg.policy == PagePolicy::RelaxedClose && useless) ||
+                 want_maint)) {
+                out.emplace_back(r, b);
+            }
+        }
+    }
+    return out;
+}
+
+std::vector<BankRef>
+fullScanAutoPrecharges(const BankEngine &banks, Cycle now)
+{
+    std::vector<BankRef> out;
+    for (unsigned r = 0; r < banks.numRanks(); ++r) {
+        for (unsigned b = 0; b < banks.rank(r).numBanks(); ++b) {
+            const Bank &bank = banks.bank(r, b);
+            if (bank.autoPrechargePending() && bank.canPrecharge(now))
+                out.emplace_back(r, b);
+        }
+    }
+    return out;
+}
+
+/** Per-run command counts, to show each path was exercised. */
+struct RandomRunCounts
+{
+    unsigned acts = 0, columns = 0, closes = 0, autoPres = 0;
+    unsigned refreshes = 0, rfms = 0;
+    /** Steps with one rank drained while the other still had work. */
+    unsigned drainedRankSteps = 0;
+};
+
+/**
+ * Run @p steps seeded random steps (enqueue, ACT, column, PRE, auto-PRE,
+ * REF, RFM, maintenance close, time advance; enqueues pause every other
+ * 1000 steps so ranks drain) on a 2-rank BankEngine
+ * under @p policy, PRAC on or off. After every step: each rank's
+ * open-bank mask equals the one recomputed from Bank::isOpen(); the
+ * per-rank queued flag equals the per-bank counters; the close and
+ * auto-precharge enumerators equal their full scans; each try / step
+ * method issues exactly its enumerator's first (or every) candidate; and
+ * nextWakeAt equals fullScanNextWake.
+ */
+RandomRunCounts
+runRandomMaintenance(PagePolicy policy, bool prac_on, std::uint64_t seed,
+                     unsigned steps)
+{
+    DramConfig cfg;
+    cfg.ranksPerChannel = 2;
+    cfg.policy = policy;
+    cfg.pracEnabled = prac_on;
+    cfg.disturbanceThreshold = 4;
+    cfg.pracCamEntries = 2;
+    cfg.pracRecoveryWindow = 4096;
+
+    BankEngine banks(cfg);
+    PracState prac(cfg);
+    ApplyingHooks apply(banks, prac);
+    MaintenanceEngine maint(cfg, banks, apply);
+    if (prac_on)
+        maint.setPracState(&prac);
+    std::deque<Request> queue, none;
+    Rng rng(seed);
+    RandomRunCounts counts;
+    Cycle now = 0;
+    const bool failed_before = ::testing::Test::HasFailure();
+
+    auto randomBank = [&](unsigned &r, unsigned &b) {
+        r = static_cast<unsigned>(rng.below(cfg.ranksPerChannel));
+        b = static_cast<unsigned>(rng.below(cfg.banksPerRank));
+    };
+
+    for (unsigned step = 0; step < steps; ++step) {
+        unsigned r = 0, b = 0;
+        switch (rng.below(9)) {
+          case 0:
+          case 1: {   // Enqueue a request to a random bank and row.
+            // Every other 1000 steps enqueue nothing, so ranks drain.
+            if (queue.size() >= 24 || (step / 1000) % 2 == 1)
+                break;
+            randomBank(r, b);
+            Request req;
+            req.loc.rank = r;
+            req.loc.bank = b;
+            req.loc.row = static_cast<std::uint32_t>(rng.below(4));
+            req.isWrite = rng.chance(0.3);
+            req.need = rng.chance(0.5) ? WordMask::full()
+                                       : WordMask::single(
+                                             static_cast<unsigned>(
+                                                 rng.below(8)));
+            queue.push_back(req);
+            banks.onEnqueue(queue.back());
+            break;
+          }
+          case 2: {   // ACT, where the bank and rank gates allow it.
+            // Mostly for a queued request's row, so its column can follow.
+            std::uint32_t row = static_cast<std::uint32_t>(rng.below(4));
+            if (!queue.empty() && rng.chance(0.8)) {
+                const Request &req = queue[rng.below(queue.size())];
+                r = req.loc.rank;
+                b = req.loc.bank;
+                row = req.loc.row;
+            } else {
+                randomBank(r, b);
+            }
+            Rank &rank = banks.rank(r);
+            if (rank.bank(b).isOpen() || !rank.bank(b).canActivate(now) ||
+                !rank.canActivate(now, 1.0) || rank.refreshing(now) ||
+                rank.rfmBusy(now) || prac.alertActive(r)) {
+                break;
+            }
+            const bool partial = rng.chance(0.5);
+            const WordMask mask =
+                partial ? WordMask::single(
+                              static_cast<unsigned>(rng.below(8)))
+                        : WordMask::full();
+            rank.activateBank(b, now, row, mask, partial);
+            rank.recordActivation(now, 1.0);
+            if (prac_on)
+                prac.onActivate(r, b, row, partial, now);
+            banks.recountOpenRowMatches(r, b, queue, none);
+            ++counts.acts;
+            break;
+          }
+          case 3: {   // Column access for the oldest servable request.
+            for (std::size_t i = 0; i < queue.size(); ++i) {
+                Request &req = queue[i];
+                Bank &bank = banks.bank(req.loc.rank, req.loc.bank);
+                if (banks.probe(req) != RowProbe::Hit ||
+                    bank.autoPrechargePending() || !bank.canRead(now)) {
+                    continue;
+                }
+                bank.read(now, 4);
+                bank.recordHit();
+                if (policy == PagePolicy::RestrictedClose)
+                    bank.setAutoPrecharge();
+                banks.onDequeue(req);
+                queue.erase(queue.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+                ++counts.columns;
+                break;
+            }
+            break;
+          }
+          case 4:   // Explicit PRE of a random open bank.
+            randomBank(r, b);
+            if (banks.bank(r, b).canPrecharge(now))
+                apply.issuePrecharge(r, b, now);
+            break;
+          case 5:
+            maint.stepAutoPrecharge(now);
+            break;
+          case 6:
+            maint.tryRefresh(now);
+            break;
+          case 7:
+            maint.tryRfm(now);
+            break;
+          default:
+            maint.tryMaintenanceClose(now);
+            break;
+        }
+        if (rng.chance(0.5))
+            now += 1 + rng.below(24);
+
+        // The mask and the per-rank counter against their sources.
+        for (unsigned rr = 0; rr < banks.numRanks(); ++rr) {
+            const Rank &rank = banks.rank(rr);
+            std::uint64_t mask = 0;
+            bool queued = false;
+            for (unsigned bb = 0; bb < rank.numBanks(); ++bb) {
+                if (rank.bank(bb).isOpen())
+                    mask |= std::uint64_t{1} << bb;
+                queued = queued || banks.queued(rr, bb) > 0;
+            }
+            EXPECT_EQ(rank.openBanks(), mask)
+                << "step " << step << " rank " << rr;
+            EXPECT_EQ(banks.anyQueuedInRank(rr), queued)
+                << "step " << step << " rank " << rr;
+            if (!queued && !queue.empty())
+                ++counts.drainedRankSteps;
+        }
+
+        // Each try / step method against its enumerator, on a second
+        // engine whose hooks only record.
+        RecordingHooks rec;
+        MaintenanceEngine probe(cfg, banks, rec);
+        if (prac_on)
+            probe.setPracState(&prac);
+        const PracState *prac_ptr = prac_on ? &prac : nullptr;
+        const auto closes = probe.closeCandidates(now);
+        EXPECT_EQ(closes, fullScanCloses(cfg, banks, prac_ptr, now))
+            << "step " << step;
+        EXPECT_EQ(probe.autoPrechargeCandidates(now),
+                  fullScanAutoPrecharges(banks, now))
+            << "step " << step;
+        EXPECT_EQ(probe.tryMaintenanceClose(now), !closes.empty());
+        if (!closes.empty()) {
+            EXPECT_EQ(rec.closes, std::vector<BankRef>{closes.front()})
+                << "step " << step;
+        }
+        const auto refreshes = probe.refreshCandidates(now);
+        EXPECT_EQ(probe.tryRefresh(now), !refreshes.empty());
+        if (!refreshes.empty()) {
+            EXPECT_EQ(rec.refreshes,
+                      std::vector<unsigned>{refreshes.front()})
+                << "step " << step;
+        }
+        const auto rfms = probe.rfmCandidates(now);
+        EXPECT_EQ(probe.tryRfm(now), !rfms.empty());
+        if (!rfms.empty()) {
+            EXPECT_EQ(rec.rfms, std::vector<unsigned>{rfms.front()})
+                << "step " << step;
+        }
+        if (policy == PagePolicy::RestrictedClose) {
+            probe.stepAutoPrecharge(now);
+            EXPECT_EQ(rec.autoPres, probe.autoPrechargeCandidates(now))
+                << "step " << step;
+        }
+        EXPECT_EQ(probe.nextWakeAt(now),
+                  fullScanNextWake(cfg, banks, prac_ptr, now))
+            << "step " << step << " cycle " << now;
+        if (::testing::Test::HasFailure() && !failed_before)
+            break;
+    }
+    counts.closes = apply.closes;
+    counts.autoPres = apply.autoPres;
+    counts.refreshes = apply.refreshes;
+    counts.rfms = apply.rfms;
+    return counts;
+}
+
+void
+expectOpenBankScansMatchFullScans(PagePolicy policy)
+{
+    for (const bool prac_on : {false, true}) {
+        SCOPED_TRACE(prac_on ? "PRAC on" : "PRAC off");
+        const RandomRunCounts n =
+            runRandomMaintenance(policy, prac_on, 2600 + prac_on, 12000);
+        // Every path the checks cover was really taken.
+        EXPECT_GT(n.acts, 100u);
+        EXPECT_GT(n.columns, 50u);
+        EXPECT_GT(n.closes, 50u);
+        EXPECT_GT(n.refreshes, 2u);
+        EXPECT_GT(n.drainedRankSteps, 100u);
+        if (policy == PagePolicy::RestrictedClose) {
+            EXPECT_GT(n.autoPres, 10u);
+        }
+        if (prac_on) {
+            EXPECT_GT(n.rfms, 2u);
+        } else {
+            EXPECT_EQ(n.rfms, 0u);
+        }
+    }
+}
+
+TEST(MaintenanceOps, OpenBankScansMatchFullScansRelaxedClose)
+{
+    expectOpenBankScansMatchFullScans(PagePolicy::RelaxedClose);
+}
+
+TEST(MaintenanceOps, OpenBankScansMatchFullScansRestrictedClose)
+{
+    expectOpenBankScansMatchFullScans(PagePolicy::RestrictedClose);
+}
+
+TEST(MaintenanceOps, OpenBankScansMatchFullScansOpenPage)
+{
+    expectOpenBankScansMatchFullScans(PagePolicy::OpenPage);
+}
+
+TEST(MaintenanceOps, BankVisitsCountOnlyOpenBanks)
+{
+    // The work counter behind EngineStats::maintBankVisits: a scan of an
+    // all-closed engine with no refresh due visits no bank, one open
+    // bank costs one visit per scan, and a due refresh over closed banks
+    // reads every bank of that rank once for its tRP maximum.
+    DramConfig cfg;
+    cfg.ranksPerChannel = 2;
+    BankEngine banks(cfg);
+    NullHooks hooks;
+    MaintenanceEngine maint(cfg, banks, hooks);
+
+    (void)maint.nextWakeAt(0);
+    (void)maint.closeCandidates(0);
+    EXPECT_FALSE(maint.tryMaintenanceClose(0));
+    EXPECT_EQ(maint.bankVisits(), 0u);
+
+    banks.rank(1).activateBank(5, 0, 3, WordMask::full(), false);
+    (void)maint.nextWakeAt(1);
+    (void)maint.closeCandidates(1);
+    EXPECT_EQ(maint.bankVisits(), 2u);
+
+    banks.rank(1).prechargeBank(5, cfg.timing.tRas);
+    const Cycle due = banks.rank(0).nextRefreshAt();
+    ASSERT_LT(due, banks.rank(1).nextRefreshAt());
+    (void)maint.nextWakeAt(due);
+    EXPECT_EQ(maint.bankVisits(), 2u + cfg.banksPerRank);
 }
 
 } // namespace
