@@ -691,8 +691,7 @@ lintSchemeLocality(const SourceFile &f, const std::vector<std::string> &raw,
     }
 }
 
-// --- Rules: config-coverage / energy-coverage ---------------------------
-
+/** The file whose path ends in @p suffix; null when absent. */
 const SourceFile *
 findFile(const std::vector<SourceFile> &files, const std::string &suffix)
 {
@@ -703,108 +702,6 @@ findFile(const std::vector<SourceFile> &files, const std::string &suffix)
             return &f;
     }
     return nullptr;
-}
-
-bool
-fieldAnnotated(const std::vector<std::string> &raw, unsigned line,
-               const char *marker)
-{
-    if (line == 0)
-        return false;
-    return suppressed(raw, line - 1, marker);   // Same line or one above.
-}
-
-void
-lintConfigCoverage(const std::vector<SourceFile> &files,
-                   std::vector<LintIssue> &issues)
-{
-    const SourceFile *io = findFile(files, "sim/config_io.cpp");
-    if (!io)
-        return;
-    const std::string ioStripped = stripComments(io->text);
-    const std::string canonical = functionBody(io->text, "canonicalConfig");
-    // The handler region is everything outside canonicalConfig and
-    // dumpConfig — those two mention every field themselves and would
-    // mask a missing parse handler.
-    std::string handlers = ioStripped;
-    for (const char *fn : {"canonicalConfig", "dumpConfig"}) {
-        const std::string body = functionBody(io->text, fn);
-        if (body.empty())
-            continue;
-        const auto at = handlers.find(body);
-        if (at != std::string::npos)
-            handlers.replace(at, body.size(), std::string(body.size(), ' '));
-    }
-
-    struct Target
-    {
-        const char *suffix;
-        const char *structName;
-    };
-    for (const Target &t : {Target{"dram/config.h", "DramConfig"},
-                            Target{"sim/system.h", "SystemConfig"}}) {
-        const SourceFile *hdr = findFile(files, t.suffix);
-        if (!hdr)
-            continue;
-        const std::vector<std::string> raw = splitLines(hdr->text);
-        for (const FieldDecl &fd : structFieldDecls(hdr->text,
-                                                    t.structName)) {
-            const bool observational =
-                fieldAnnotated(raw, fd.line, "pra-lint: observational");
-            if (!observational &&
-                findIdentifier(canonical, fd.name) == std::string::npos) {
-                issues.push_back(
-                    {hdr->path, fd.line, "config-coverage",
-                     std::string(t.structName) + "::" + fd.name +
-                         " is missing from canonicalConfig() — two "
-                         "configs differing only in this field would "
-                         "share a sweep result-cache entry; add it to "
-                         "the canonical key (or annotate the field "
-                         "`pra-lint: observational` if it cannot affect "
-                         "results)"});
-            }
-            // A process-level switch that System sets from the
-            // environment (forceRounds) opts out of the parse handler
-            // with `pra-lint: no-config-key`.
-            if (!fieldAnnotated(raw, fd.line, "pra-lint: no-config-key") &&
-                findIdentifier(handlers, fd.name) == std::string::npos) {
-                issues.push_back(
-                    {hdr->path, fd.line, "config-coverage",
-                     std::string(t.structName) + "::" + fd.name +
-                         " has no applyConfigLine() handler — the field "
-                         "cannot be set from a config file"});
-            }
-        }
-    }
-}
-
-void
-lintEnergyCoverage(const std::vector<SourceFile> &files,
-                   std::vector<LintIssue> &issues)
-{
-    const SourceFile *hdr = findFile(files, "power/power_model.h");
-    const SourceFile *model = findFile(files, "power/power_model.cpp");
-    const SourceFile *auditor = findFile(files, "verify/auditor.cpp");
-    if (!hdr || !model || !auditor)
-        return;
-    const std::string modelText = stripComments(model->text);
-    const std::string auditorText = stripComments(auditor->text);
-    for (const FieldDecl &fd : structFieldDecls(hdr->text, "EnergyCounts")) {
-        if (findIdentifier(modelText, fd.name) == std::string::npos) {
-            issues.push_back(
-                {hdr->path, fd.line, "energy-coverage",
-                 "EnergyCounts::" + fd.name +
-                     " is not consumed by the PowerModel aggregation "
-                     "(power_model.cpp) — its energy is silently dropped"});
-        }
-        if (findIdentifier(auditorText, fd.name) == std::string::npos) {
-            issues.push_back(
-                {hdr->path, fd.line, "energy-coverage",
-                 "EnergyCounts::" + fd.name +
-                     " is not covered by the auditor energy-conservation "
-                     "check (auditor.cpp)"});
-        }
-    }
 }
 
 // --- Rule: fault-coverage -----------------------------------------------
@@ -862,8 +759,9 @@ lintFaultCoverage(const std::vector<SourceFile> &files,
 
 /**
  * Every named MaintenanceOp registered under src/ must be drilled from
- * tests/ and named in canonicalConfig() (it changes which commands
- * issue when); an unnamed registerOp() under src/ has no handle either
+ * tests/ and named in DramConfig's field table, whose rows
+ * canonicalConfig() renders (the op changes which commands issue
+ * when); an unnamed registerOp() under src/ has no handle either
  * requirement could key on. Call sites are recognised by the member
  * access that precedes them (`x.registerOp(` / `x->registerOp(`), so
  * the seam's own declarations in maintenance_engine.h do not trip the
@@ -880,9 +778,11 @@ lintMaintopCoverage(const std::vector<SourceFile> &files,
         corpus += stripComments(f.text);
         corpus += '\n';
     }
-    const SourceFile *io = findFile(files, "sim/config_io.cpp");
-    const std::string canonical =
-        io ? functionBody(io->text, "canonicalConfig") : std::string();
+    // canonicalConfig() renders DramConfig's field table; an op's
+    // presence row (`prac_op`) lives there.
+    const SourceFile *cfg = findFile(files, "dram/config.h");
+    const std::string table =
+        cfg ? functionBody(cfg->text, "forEachField") : std::string();
 
     for (const SourceFile &f : files) {
         if (f.path.rfind("src/", 0) != 0)
@@ -944,15 +844,16 @@ lintMaintopCoverage(const std::vector<SourceFile> &files,
                          "— an undrilled op is scheduling behaviour "
                          "nothing exercises"});
             }
-            if (!observational && io &&
-                findIdentifier(canonical, name) == std::string::npos) {
+            if (!observational && cfg &&
+                findIdentifier(table, name) == std::string::npos) {
                 issues.push_back(
                     {f.path, line, "maintop-coverage",
                      "maintenance op \"" + name +
-                         "\" does not appear in canonicalConfig() — two "
+                         "\" is not named by DramConfig's field table, so "
+                         "it does not appear in canonicalConfig() — two "
                          "configs differing only in this op's presence "
-                         "would share a sweep result-cache entry; name "
-                         "it in the canonical key (or annotate the "
+                         "would share a sweep result-cache entry; give it "
+                         "a presence row in the table (or annotate the "
                          "registration `pra-lint: observational` if it "
                          "cannot affect results)"});
             }
@@ -1057,8 +958,6 @@ lintSources(const std::vector<SourceFile> &files)
         lintTimingLocality(f, raw, stripped, issues);
         lintSchemeLocality(f, raw, stripped, issues);
     }
-    lintConfigCoverage(files, issues);
-    lintEnergyCoverage(files, issues);
     lintFaultCoverage(files, issues);
     lintMaintopCoverage(files, issues);
     return issues;

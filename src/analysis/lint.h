@@ -2,7 +2,7 @@
  * @file
  * Repo-specific determinism and configuration lint (DESIGN.md §10).
  *
- * Eight rules, each encoding an invariant this repository depends on
+ * Six rules, each encoding an invariant this repository depends on
  * but a generic linter cannot know:
  *
  *  - entropy: no ambient randomness or wall-clock access in src/
@@ -25,19 +25,6 @@
  *    bounds could silently miss. timing_tables.cpp (the builder) and
  *    checker.* (the independent oracle) are outside the scope; a vetted
  *    cold-path site suppresses with `// pra-lint: timing-ok`;
- *  - config-coverage: every DramConfig and SystemConfig field must
- *    appear in canonicalConfig() (the result-cache key — a field
- *    missing there lets two behaviourally different configs share a
- *    cache entry) and in the applyConfigLine() handler region (so
- *    config files can set it). Fields that cannot affect simulated
- *    results opt out of the canonical key with
- *    `// pra-lint: observational`; a switch System sets from the
- *    environment opts out of the handler with
- *    `// pra-lint: no-config-key`;
- *  - energy-coverage: every power::EnergyCounts member must be
- *    consumed by the PowerModel aggregation and the auditor's energy
- *    conservation check — an unconsumed counter means silently dropped
- *    energy;
  *  - scheme-locality: no scheme dispatch outside the registry TU —
  *    scheme behaviour lives in the SchemeModel plugins
  *    (src/core/scheme.{h,cpp}); any other file under src/ spelling the
@@ -58,11 +45,13 @@
  *  - maintop-coverage: every named MaintenanceOp registered under src/
  *    (a `registerOp("name", ...)` call site) must be referenced from at
  *    least one file under tests/ (same corpus gating as fault-coverage)
- *    and must appear in canonicalConfig() — a registered op changes
- *    which commands issue when, so two configs differing only in the
- *    op's presence must not share a result-cache entry. An op vetted as
- *    result-neutral opts out of the canonical-key requirement with
- *    `// pra-lint: observational` on the registration line; an
+ *    and must be named in DramConfig's field table (the forEachField
+ *    in dram/config.h, whose rows canonicalConfig() renders) — a
+ *    registered op changes which commands issue when, so two configs
+ *    differing only in the op's presence must not share a result-cache
+ *    entry. An op vetted as result-neutral opts out of the canonical-key
+ *    requirement with `// pra-lint: observational` on the registration
+ *    line; an
  *    *unnamed* registerOp() call under src/ is always flagged — an
  *    anonymous op has no handle either requirement could key on.
  *

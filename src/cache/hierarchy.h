@@ -15,6 +15,7 @@
 
 #include "cache/cache.h"
 #include "cache/dbi.h"
+#include "common/fields.h"
 #include "common/stats.h"
 
 namespace pra::cache {
@@ -29,6 +30,30 @@ struct HierarchyConfig
     /** Row-key function for the DBI (DRAM row identity of a line). */
     std::function<std::uint64_t(Addr)> dbiRowKey;
 };
+
+/**
+ * HierarchyConfig's field table (common/fields.h), CacheParams included:
+ * the config keys. enableDbi and dbiRowKey have no rows — System wires
+ * them from SystemConfig::enableDbi and the DRAM address mapping.
+ */
+template <typename Visit, typename... Self>
+    requires FieldsOf<HierarchyConfig, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[numCores, l1, l2, enableDbi, dbiRowKey] =
+        fieldsHead(s...);
+    [[maybe_unused]] auto &[sizeBytes, ways, lineBytes] = l1;
+    v("cores", 0, s.numCores...);
+    v("l1_kb", kFieldSettable, KiB{s.l1.sizeBytes}...);
+    v("l1_bytes", 0, s.l1.sizeBytes...);
+    v("l1_ways", 0, s.l1.ways...);
+    v("l1_line", 0, s.l1.lineBytes...);
+    v("l2_kb", kFieldSettable, KiB{s.l2.sizeBytes}...);
+    v("l2_bytes", 0, s.l2.sizeBytes...);
+    v("l2_ways", 0, s.l2.ways...);
+    v("l2_line", 0, s.l2.lineBytes...);
+}
 
 /** A line leaving the hierarchy toward DRAM. */
 struct Writeback

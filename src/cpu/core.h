@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.h"
 #include "cpu/mem_op.h"
 
 namespace pra::cpu {
@@ -34,6 +35,20 @@ struct CoreParams
     unsigned ldqSize = 32;
     unsigned stqSize = 32;
 };
+
+/** CoreParams' field table (common/fields.h): the config keys. */
+template <typename Visit, typename... Self>
+    requires FieldsOf<CoreParams, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[issueWidth, robSize, ldqSize, stqSize] =
+        fieldsHead(s...);
+    v("issue_width", kFieldSettable, s.issueWidth...);
+    v("rob", kFieldSettable, s.robSize...);
+    v("ldq", 0, s.ldqSize...);
+    v("stq", 0, s.stqSize...);
+}
 
 /**
  * Callbacks the core uses to touch the memory system. The system wiring

@@ -8,6 +8,9 @@
 #ifndef PRA_DRAM_CONFIG_H
 #define PRA_DRAM_CONFIG_H
 
+#include <string_view>
+
+#include "common/fields.h"
 #include "common/types.h"
 #include "core/scheme.h"
 #include "dram/timing.h"
@@ -207,8 +210,7 @@ struct DramConfig
      * way, so it stays out of the canonical config and the cache key.
      * System sets it from PRA_AUDIT_REPLAY=1; there is no config key.
      */
-    // pra-lint: no-config-key
-    bool forceRounds = false;   // pra-lint: observational
+    bool forceRounds = false;
 
     /**
      * Scheme under evaluation: an immutable registry singleton
@@ -227,6 +229,88 @@ struct DramConfig
         mapping = AddrMapping::LineInterleaved;
     }
 };
+
+/**
+ * The `policy` config row: rendered as the PagePolicy value; parsed from
+ * a policy name, which also selects the mapping that policy is studied
+ * with (restricted close-page runs line-interleaved).
+ */
+template <typename D>
+struct PolicyKey
+{
+    D &cfg;
+};
+
+/**
+ * DramConfig's field table (common/fields.h) — the config keys, in the
+ * canonical order, followed by Timing's and PowerParams' tables. The
+ * `prac_op` row is derived: it names the maintenance op the PRAC block
+ * registers, so the canonical key records the op's presence and not
+ * just its parameters.
+ */
+template <typename Visit, typename... Self>
+    requires FieldsOf<DramConfig, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[channels, ranksPerChannel, banksPerRank,
+                            rowsPerBank, linesPerRow, chipsPerRank,
+                            eccChipsPerRank, policy, mapping, scheduler,
+                            writeAgePromotionCycles, readQueueDepth,
+                            writeQueueDepth, writeHighWatermark,
+                            writeLowWatermark, rowHitCap, powerDownEnabled,
+                            powerDownThreshold, enableChecker,
+                            auditFaultWidenAct, faultIgnoreTccdL,
+                            faultIgnoreTwtr, faultSuppressWakeTwtr,
+                            faultStarveAgedCycles, pracEnabled,
+                            disturbanceThreshold, pracCamEntries,
+                            pracRecoveryWindow, faultPracDropCount,
+                            faultPracLateRfm, mergeWriteMasks,
+                            weightedActWindow, minActGranularity,
+                            forceRounds, scheme, timing, power] =
+        fieldsHead(s...);
+    v("scheme", kFieldSettable, s.scheme...);
+    v("scheduler", kFieldSettable, s.scheduler...);
+    v("write_age_promotion", kFieldSettable, s.writeAgePromotionCycles...);
+    v("policy", kFieldSettable, PolicyKey{s}...);
+    v("mapping", 0, s.mapping...);
+    v("channels", kFieldSettable, s.channels...);
+    v("ranks", kFieldSettable, s.ranksPerChannel...);
+    v("banks", kFieldSettable, s.banksPerRank...);
+    v("rows", kFieldSettable, s.rowsPerBank...);
+    v("lines_per_row", kFieldSettable, s.linesPerRow...);
+    v("chips", kFieldSettable, s.chipsPerRank...);
+    v("ecc_chips", kFieldSettable, s.eccChipsPerRank...);
+    v("read_queue", kFieldSettable, s.readQueueDepth...);
+    v("write_queue", kFieldSettable, s.writeQueueDepth...);
+    v("write_high_watermark", kFieldSettable, s.writeHighWatermark...);
+    v("write_low_watermark", kFieldSettable, s.writeLowWatermark...);
+    v("row_hit_cap", kFieldSettable, s.rowHitCap...);
+    v("power_down", kFieldSettable, s.powerDownEnabled...);
+    v("power_down_threshold", kFieldSettable, s.powerDownThreshold...);
+    v("checker", kFieldSettable, s.enableChecker...);
+    v("merge_write_masks", kFieldSettable, s.mergeWriteMasks...);
+    v("weighted_act_window", kFieldSettable, s.weightedActWindow...);
+    v("min_act_granularity", kFieldSettable, s.minActGranularity...);
+    v("audit_fault_widen_act", kFieldSettable, s.auditFaultWidenAct...);
+    v("fault_ignore_tccd_l", kFieldSettable, s.faultIgnoreTccdL...);
+    v("fault_ignore_twtr", kFieldSettable, s.faultIgnoreTwtr...);
+    v("fault_suppress_wake_twtr", kFieldSettable,
+      s.faultSuppressWakeTwtr...);
+    v("fault_starve_aged_cycles", kFieldSettable,
+      s.faultStarveAgedCycles...);
+    v("prac", kFieldSettable, s.pracEnabled...);
+    v("disturbance_threshold", kFieldSettable, s.disturbanceThreshold...);
+    v("prac_cam_entries", kFieldSettable, s.pracCamEntries...);
+    v("prac_recovery_window", kFieldSettable, s.pracRecoveryWindow...);
+    v("fault_prac_drop_count", kFieldSettable, s.faultPracDropCount...);
+    v("fault_prac_late_rfm", kFieldSettable, s.faultPracLateRfm...);
+    v("prac_op", 0,
+      std::string_view(s.pracEnabled ? "prac_rfm" : "none")...);
+    v("force_rounds", kFieldObservational, s.forceRounds...);
+    forEachField(v, s.timing...);
+    forEachField(v, s.power...);
+}
 
 } // namespace pra::dram
 

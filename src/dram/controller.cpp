@@ -651,7 +651,14 @@ MemoryController::tick(Cycle now)
     roundActivity_ = false;
     scanWake_ = kNever;
     ++engineStats_.rounds;
-    runRound(now);
+    // The policy observes queue occupancy on every round. Rounds the
+    // event engine skips have unchanged queue sizes (an enqueue always
+    // forces a round), so the hysteresis state it would have computed on
+    // the skipped cycles is exactly what one application computes here.
+    // Nothing before the round's first command touches the queues, and a
+    // quiet round issues none, so the same inputs serve publishWakeups.
+    const SchedulerInputs inputs = schedulerInputs();
+    runRound(now, inputs);
     if (forced_quiet && audit_)
         audit_->onEventRound(now, nextWake_, roundActivity_);
     if (roundActivity_) {
@@ -663,7 +670,7 @@ MemoryController::tick(Cycle now)
         // already computed the exact cycle each blocked gate releases.
         nextWake_ = now + 1;
     } else {
-        publishWakeups(now);
+        publishWakeups(now, inputs);
     }
 }
 
@@ -684,7 +691,7 @@ MemoryController::settleBackground()
 }
 
 void
-MemoryController::runRound(Cycle now)
+MemoryController::runRound(Cycle now, const SchedulerInputs &inputs)
 {
     settleBackground();
     accountBackground(now);
@@ -705,11 +712,6 @@ MemoryController::runRound(Cycle now)
         }
     }
 
-    // The policy observes queue occupancy on every round. Rounds the
-    // event engine skips have unchanged queue sizes (an enqueue always
-    // forces a round), so the hysteresis state it would have computed on
-    // the skipped cycles is exactly what one application computes here.
-    const SchedulerInputs inputs = schedulerInputs();
     sched_->onTick(inputs, now);
 
     if (bus_.cmdBusBusy(now)) {
@@ -748,7 +750,7 @@ MemoryController::runRound(Cycle now)
 }
 
 void
-MemoryController::publishWakeups(Cycle now)
+MemoryController::publishWakeups(Cycle now, const SchedulerInputs &inputs)
 {
     wake_.clear();
     std::uint64_t pushes = 0;
@@ -771,7 +773,7 @@ MemoryController::publishWakeups(Cycle now)
     for (const auto &c : inflight_)
         consider(c.finish);
     if (!readQ_.empty() || !writeQ_.empty())
-        consider(sched_->nextDecisionChangeAt(schedulerInputs(), now));
+        consider(sched_->nextDecisionChangeAt(inputs, now));
     consider(maint_.nextWakeAt(now));
     // Named maintenance ops publish through their wake-bound contract;
     // ops registered without one are opaque, and while any such op is

@@ -128,6 +128,37 @@ struct ControllerStats
     }
 };
 
+/** ControllerStats' field table (common/fields.h): the result keys. */
+template <typename Visit, typename... Self>
+    requires FieldsOf<ControllerStats, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[readReqs, writeReqs, readRowHits, writeRowHits,
+                            readRowMisses, writeRowMisses, readFalseHits,
+                            writeFalseHits, actsForReads, actsForWrites,
+                            precharges, refreshes, rfms, forwardedReads,
+                            actGranularity, readActGranularity,
+                            readLatency] = fieldsHead(s...);
+    v("read_reqs", 0, s.readReqs...);
+    v("write_reqs", 0, s.writeReqs...);
+    v("read_row_hits", 0, s.readRowHits...);
+    v("write_row_hits", 0, s.writeRowHits...);
+    v("read_row_misses", 0, s.readRowMisses...);
+    v("write_row_misses", 0, s.writeRowMisses...);
+    v("read_false_hits", 0, s.readFalseHits...);
+    v("write_false_hits", 0, s.writeFalseHits...);
+    v("acts_for_reads", 0, s.actsForReads...);
+    v("acts_for_writes", 0, s.actsForWrites...);
+    v("precharges", 0, s.precharges...);
+    v("refreshes", 0, s.refreshes...);
+    v("rfms", 0, s.rfms...);
+    v("forwarded_reads", 0, s.forwardedReads...);
+    v("act_granularity", 0, s.actGranularity...);
+    v("read_act_granularity", 0, s.readActGranularity...);
+    v("read_latency", 0, s.readLatency...);
+}
+
 /**
  * Observational counters of the event-driven engine (DESIGN.md §11).
  * Not part of simulated behaviour: excluded from golden fingerprints
@@ -287,8 +318,8 @@ class MemoryController : private MaintenanceHooks
 
     // --- Event engine (DESIGN.md §11) --------------------------------------
 
-    /** One full scheduling round. */
-    void runRound(Cycle now);
+    /** One full scheduling round over the queue snapshot @p inputs. */
+    void runRound(Cycle now, const SchedulerInputs &inputs);
 
     /**
      * Rebuild the wake-up heap and set nextWake_ to its minimum (kNever
@@ -301,9 +332,11 @@ class MemoryController : private MaintenanceHooks
      * deadlines, blocked closes, auto-precharge retirements), and the
      * scheduler's time-driven selection flip. Everything else that could
      * enable work is itself an event (an enqueue lowers nextWake_; a
-     * command can only issue inside a round).
+     * command can only issue inside a round). @p inputs is the quiet
+     * round's queue snapshot, still current because the round issued
+     * nothing.
      */
-    void publishWakeups(Cycle now);
+    void publishWakeups(Cycle now, const SchedulerInputs &inputs);
 
     /**
      * Record an exact retry cycle for a gate that blocked this round.

@@ -106,28 +106,8 @@ ControllerStats
 DramSystem::aggregateStats() const
 {
     ControllerStats agg;
-    for (const auto &ch : channels_) {
-        const ControllerStats &s = ch.stats();
-        agg.readReqs += s.readReqs;
-        agg.writeReqs += s.writeReqs;
-        agg.readRowHits += s.readRowHits;
-        agg.writeRowHits += s.writeRowHits;
-        agg.readRowMisses += s.readRowMisses;
-        agg.writeRowMisses += s.writeRowMisses;
-        agg.readFalseHits += s.readFalseHits;
-        agg.writeFalseHits += s.writeFalseHits;
-        agg.actsForReads += s.actsForReads;
-        agg.actsForWrites += s.actsForWrites;
-        agg.precharges += s.precharges;
-        agg.refreshes += s.refreshes;
-        agg.rfms += s.rfms;
-        agg.forwardedReads += s.forwardedReads;
-        for (std::size_t g = 0; g < s.actGranularity.buckets(); ++g)
-            agg.actGranularity.record(g, s.actGranularity.count(g));
-        for (std::size_t g = 0; g < s.readActGranularity.buckets(); ++g)
-            agg.readActGranularity.record(g, s.readActGranularity.count(g));
-        agg.readLatency.merge(s.readLatency);
-    }
+    for (const auto &ch : channels_)
+        addFields(agg, ch.stats());
     return agg;
 }
 

@@ -8,6 +8,8 @@
 #ifndef PRA_DRAM_TIMING_H
 #define PRA_DRAM_TIMING_H
 
+#include "common/fields.h"
+
 namespace pra::dram {
 
 /** DRAM device timing set (all values in bus cycles). */
@@ -49,6 +51,39 @@ struct Timing
 
     unsigned rl() const { return tCas; }
 };
+
+/** Timing's field table (common/fields.h): the config keys. */
+template <typename Visit, typename... Self>
+    requires FieldsOf<Timing, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[tRcd, tRp, tCas, tRas, tWr, tCcd, tRrd, tFaw,
+                            tRc, wl, tRtp, tWtr, tRfc, tRefi, tXp, tRtrs,
+                            burstCycles, bankGroups, tCcdL, praMaskCycles,
+                            tRfm] = fieldsHead(s...);
+    v("trcd", kFieldSettable, s.tRcd...);
+    v("trp", kFieldSettable, s.tRp...);
+    v("tcas", 0, s.tCas...);
+    v("tras", kFieldSettable, s.tRas...);
+    v("twr", 0, s.tWr...);
+    v("tccd", 0, s.tCcd...);
+    v("trrd", kFieldSettable, s.tRrd...);
+    v("tfaw", kFieldSettable, s.tFaw...);
+    v("trc", 0, s.tRc...);
+    v("wl", 0, s.wl...);
+    v("trtp", 0, s.tRtp...);
+    v("twtr", 0, s.tWtr...);
+    v("trfc", 0, s.tRfc...);
+    v("trefi", 0, s.tRefi...);
+    v("txp", 0, s.tXp...);
+    v("trtrs", 0, s.tRtrs...);
+    v("burst_cycles", 0, s.burstCycles...);
+    v("bank_groups", 0, s.bankGroups...);
+    v("tccd_l", 0, s.tCcdL...);
+    v("pra_mask_cycles", kFieldSettable, s.praMaskCycles...);
+    v("trfm", kFieldSettable, s.tRfm...);
+}
 
 } // namespace pra::dram
 

@@ -5,22 +5,7 @@ namespace pra::power {
 EnergyCounts &
 EnergyCounts::operator+=(const EnergyCounts &o)
 {
-    for (unsigned i = 0; i < 8; ++i) {
-        acts[i] += o.acts[i];
-        actsHalfHeight[i] += o.actsHalfHeight[i];
-    }
-    sdsActs += o.sdsActs;
-    sdsChipsActivated += o.sdsChipsActivated;
-    readLines += o.readLines;
-    writeLines += o.writeLines;
-    writeWordsDriven += o.writeWordsDriven;
-    readWordsDriven += o.readWordsDriven;
-    actStandbyCycles += o.actStandbyCycles;
-    preStandbyCycles += o.preStandbyCycles;
-    powerDownCycles += o.powerDownCycles;
-    refreshOps += o.refreshOps;
-    rfmOps += o.rfmOps;
-    elapsedCycles += o.elapsedCycles;
+    addFields(*this, o);
     return *this;
 }
 

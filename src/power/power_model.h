@@ -30,6 +30,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "power/cacti_model.h"
 #include "power/power_params.h"
@@ -73,6 +74,39 @@ struct EnergyCounts
     std::uint64_t totalActs() const;
 };
 
+/**
+ * EnergyCounts' field table (common/fields.h): the result keys. The
+ * background residencies and the wall clock are not command-driven; the
+ * auditor checks those by equation instead.
+ */
+template <typename Visit, typename... Self>
+    requires FieldsOf<EnergyCounts, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[acts, actsHalfHeight, sdsActs,
+                            sdsChipsActivated, readLines, writeLines,
+                            writeWordsDriven, readWordsDriven,
+                            actStandbyCycles, preStandbyCycles,
+                            powerDownCycles, refreshOps, rfmOps,
+                            elapsedCycles] = fieldsHead(s...);
+    constexpr unsigned kCmd = kFieldCommandDriven;
+    v("acts", kCmd, s.acts...);
+    v("acts_half", kCmd, s.actsHalfHeight...);
+    v("sds_acts", kCmd, s.sdsActs...);
+    v("sds_chips", kCmd, s.sdsChipsActivated...);
+    v("read_lines", kCmd, s.readLines...);
+    v("write_lines", kCmd, s.writeLines...);
+    v("write_words_driven", kCmd, s.writeWordsDriven...);
+    v("read_words_driven", kCmd, s.readWordsDriven...);
+    v("act_standby_cycles", 0, s.actStandbyCycles...);
+    v("pre_standby_cycles", 0, s.preStandbyCycles...);
+    v("power_down_cycles", 0, s.powerDownCycles...);
+    v("refresh_ops", kCmd, s.refreshOps...);
+    v("rfm_ops", kCmd, s.rfmOps...);
+    v("elapsed_cycles", 0, s.elapsedCycles...);
+}
+
 /** Energy breakdown in nJ per Figure 2 category. */
 struct EnergyBreakdown
 {
@@ -90,6 +124,23 @@ struct EnergyBreakdown
                refresh;
     }
 };
+
+/** EnergyBreakdown's field table (common/fields.h). */
+template <typename Visit, typename... Self>
+    requires FieldsOf<EnergyBreakdown, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[actPre, read, write, readIo, writeIo,
+                            background, refresh] = fieldsHead(s...);
+    v("act_pre", 0, s.actPre...);
+    v("read", 0, s.read...);
+    v("write", 0, s.write...);
+    v("read_io", 0, s.readIo...);
+    v("write_io", 0, s.writeIo...);
+    v("background", 0, s.background...);
+    v("refresh", 0, s.refresh...);
+}
 
 /** Converts EnergyCounts into energies (nJ) and average power (mW). */
 class PowerModel

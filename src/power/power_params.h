@@ -10,6 +10,7 @@
 
 #include <array>
 
+#include "common/fields.h"
 #include "power/cacti_model.h"
 #include "power/idd.h"
 
@@ -79,6 +80,45 @@ struct PowerParams
             actPower[g - 1] = cacti.actPower(g, full_row_mw);
     }
 };
+
+/** PowerParams' field table (common/fields.h): the config keys. */
+template <typename Visit, typename... Self>
+    requires FieldsOf<PowerParams, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[preStandby, prePowerDown, refresh, actStandby,
+                            read, write, readIo, writeOdt, readTerm,
+                            writeTerm, readIoPins, writeIoPins, actPower,
+                            tCkNs, tRc, burstCycles, tRfc, tRefi, tRfm] =
+        fieldsHead(s...);
+    v("p_pre_standby", 0, s.preStandby...);
+    v("p_pre_power_down", 0, s.prePowerDown...);
+    v("p_refresh", 0, s.refresh...);
+    v("p_act_standby", 0, s.actStandby...);
+    v("p_read", 0, s.read...);
+    v("p_write", 0, s.write...);
+    v("p_read_io", 0, s.readIo...);
+    v("p_write_odt", 0, s.writeOdt...);
+    v("p_read_term", 0, s.readTerm...);
+    v("p_write_term", 0, s.writeTerm...);
+    v("read_io_pins", 0, s.readIoPins...);
+    v("write_io_pins", 0, s.writeIoPins...);
+    // One row per activation granularity.
+    static constexpr const char *kActKeys[] = {
+        "p_act_1", "p_act_2", "p_act_3", "p_act_4",
+        "p_act_5", "p_act_6", "p_act_7", "p_act_8"};
+    static_assert(std::size(kActKeys) ==
+                  std::tuple_size_v<decltype(PowerParams::actPower)>);
+    for (std::size_t g = 0; g < std::size(kActKeys); ++g)
+        v(kActKeys[g], 0, s.actPower[g]...);
+    v("tck_ns", kFieldSettable, s.tCkNs...);
+    v("power_trc", 0, s.tRc...);
+    v("power_burst_cycles", 0, s.burstCycles...);
+    v("power_trfc", 0, s.tRfc...);
+    v("power_trfm", 0, s.tRfm...);
+    v("power_trefi", 0, s.tRefi...);
+}
 
 } // namespace pra::power
 

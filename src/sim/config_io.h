@@ -20,7 +20,11 @@
  *     target_instructions = 1200000
  *     warmup_ops = 120000
  *     l2_kb = 4096
- *     trcd = 11             # any lowercase timing field
+ *     trcd = 11
+ *
+ * The accepted keys are the rows of SystemConfig's field table
+ * (sim/system.h) flagged kFieldSettable; the same table, in the same
+ * order, renders canonicalConfig().
  */
 #ifndef PRA_SIM_CONFIG_IO_H
 #define PRA_SIM_CONFIG_IO_H
@@ -39,22 +43,20 @@ namespace pra::sim {
  */
 bool applyConfigLine(const std::string &line, SystemConfig &cfg);
 
-/** Apply a whole stream of assignments. */
+/** Apply a whole stream of assignments (e.g. an opened config file). */
 void loadConfig(std::istream &in, SystemConfig &cfg);
-
-/** Load a config file into @p cfg. */
-void loadConfigFile(const std::string &path, SystemConfig &cfg);
 
 /** Render the interesting fields of @p cfg as key=value text. */
 std::string dumpConfig(const SystemConfig &cfg);
 
 /**
  * Render *every* behaviour-affecting field of @p cfg as canonical
- * key=value text: organization, controller policy, ablation knobs,
- * scheme, the full timing set, the power parameters (doubles as
- * bit-exact hex), the cache/core geometry, and the run lengths. Two
- * configs with equal canonical text simulate identically; any field
- * change alters the text. This is the config half of the
+ * key=value text: one line per row of SystemConfig's field table that
+ * is not flagged kFieldObservational — organization, controller policy,
+ * ablation knobs, scheme, the full timing set, the power parameters
+ * (doubles as bit-exact hex), the cache/core geometry, and the run
+ * lengths. Two configs with equal canonical text simulate identically;
+ * any field change alters the text. This is the config half of the
  * content-addressed result-cache key (sim::resultCacheKey).
  */
 std::string canonicalConfig(const SystemConfig &cfg);

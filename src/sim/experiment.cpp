@@ -68,35 +68,13 @@ warmupKey(const SystemConfig &cfg, const workloads::Mix &mix)
 std::shared_ptr<const WarmSnapshot>
 WarmupCache::get(const SystemConfig &cfg, const workloads::Mix &mix)
 {
-    const std::string key = warmupKey(cfg, mix);
-
-    std::promise<std::shared_ptr<const WarmSnapshot>> prom;
-    std::shared_future<std::shared_ptr<const WarmSnapshot>> fut;
-    bool compute = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            compute = true;
-            fut = prom.get_future().share();
-            cache_.emplace(key, fut);
-        } else {
-            fut = it->second;
-        }
-    }
-
-    if (compute) {
-        try {
-            System system(cfg, mixGenerators(mix));
-            prom.set_value(std::make_shared<const WarmSnapshot>(
-                system.exportWarmSnapshot()));
-            computed_.fetch_add(1);
-        } catch (...) {
-            // Propagate to every waiter instead of deadlocking them.
-            prom.set_exception(std::current_exception());
-        }
-    }
-    return fut.get();
+    return snapshots_.get(warmupKey(cfg, mix), [&] {
+        System system(cfg, mixGenerators(mix));
+        auto snapshot =
+            std::make_shared<const WarmSnapshot>(system.exportWarmSnapshot());
+        computed_.fetch_add(1);
+        return snapshot;
+    });
 }
 
 RunResult
@@ -112,54 +90,28 @@ runWorkload(const workloads::Mix &mix, const SystemConfig &cfg,
 double
 AloneIpcCache::get(const std::string &app, const ConfigPoint &point)
 {
-    const std::string key = point.key() + "#" + app;
+    return ipcs_.get(point.key() + "#" + app, [&] {
+        const SystemConfig cfg = makeConfig(point);
+        // Slot 0 fixes the generator seed to 1, matching the pre-cache
+        // behaviour of building makeGenerator(app, 1).
+        const workloads::Mix solo{app, {app, "", "", ""}};
 
-    // Claim-or-wait: the first caller installs a future and computes;
-    // later callers (any thread) block on the shared result.
-    std::promise<double> prom;
-    std::shared_future<double> fut;
-    bool compute = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            compute = true;
-            fut = prom.get_future().share();
-            cache_.emplace(key, fut);
-        } else {
-            fut = it->second;
+        std::string material;
+        std::optional<RunResult> cached;
+        if (results_ && results_->enabled()) {
+            material = resultCacheMaterial(cfg, solo);
+            cached = results_->load(material);
         }
-    }
-
-    if (compute) {
-        try {
-            const SystemConfig cfg = makeConfig(point);
-            // Slot 0 fixes the generator seed to 1, matching the
-            // pre-cache behaviour of building makeGenerator(app, 1).
-            const workloads::Mix solo{app, {app, "", "", ""}};
-
-            std::string material;
-            std::optional<RunResult> cached;
-            if (results_ && results_->enabled()) {
-                material = resultCacheMaterial(cfg, solo);
-                cached = results_->load(material);
-            }
-            RunResult res;
-            if (cached) {
-                persistentHits_.fetch_add(1);
-                res = std::move(*cached);
-            } else {
-                res = warm_ ? runWorkload(solo, cfg, *warm_)
-                            : runWorkload(solo, cfg);
-                if (results_ && results_->enabled())
-                    results_->store(material, res);
-            }
-            prom.set_value(res.ipc.at(0));
-        } catch (...) {
-            prom.set_exception(std::current_exception());
+        if (cached) {
+            persistentHits_.fetch_add(1);
+            return cached->ipc.at(0);
         }
-    }
-    return fut.get();
+        const RunResult res = warm_ ? runWorkload(solo, cfg, *warm_)
+                                    : runWorkload(solo, cfg);
+        if (results_ && results_->enabled())
+            results_->store(material, res);
+        return res.ipc.at(0);
+    });
 }
 
 double

@@ -62,10 +62,50 @@ mixGenerators(const workloads::Mix &mix);
 std::string warmupKey(const SystemConfig &cfg, const workloads::Mix &mix);
 
 /**
- * Memoizes WarmSnapshots per warmupKey with compute-once semantics:
- * exactly one thread performs each distinct warmup (the rest block on a
- * shared_future), and every sweep cell then forks its System from the
- * shared snapshot instead of re-warming.
+ * Thread-safe compute-once memo keyed by string: the first caller of a
+ * key runs the computation and every other caller, on any thread,
+ * blocks on its shared_future, so no value is ever computed twice. An
+ * exception propagates to every waiter instead of deadlocking them.
+ */
+template <typename V>
+class OnceMap
+{
+  public:
+    template <typename Compute>
+    V
+    get(const std::string &key, Compute &&compute)
+    {
+        std::promise<V> prom;
+        std::shared_future<V> fut;
+        bool mine = false;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto [it, inserted] = map_.try_emplace(key);
+            if (inserted) {
+                mine = true;
+                it->second = prom.get_future().share();
+            }
+            fut = it->second;
+        }
+        if (mine) {
+            try {
+                prom.set_value(compute());
+            } catch (...) {
+                prom.set_exception(std::current_exception());
+            }
+        }
+        return fut.get();
+    }
+
+  private:
+    std::mutex mu_;
+    std::map<std::string, std::shared_future<V>> map_;
+};
+
+/**
+ * Memoizes WarmSnapshots per warmupKey (OnceMap): exactly one thread
+ * performs each distinct warmup, and every sweep cell then forks its
+ * System from the shared snapshot instead of re-warming.
  */
 class WarmupCache
 {
@@ -78,10 +118,7 @@ class WarmupCache
     std::uint64_t computed() const { return computed_.load(); }
 
   private:
-    std::mutex mu_;
-    std::map<std::string,
-             std::shared_future<std::shared_ptr<const WarmSnapshot>>>
-        cache_;
+    OnceMap<std::shared_ptr<const WarmSnapshot>> snapshots_;
     std::atomic<std::uint64_t> computed_{0};
 };
 
@@ -97,9 +134,9 @@ RunResult runWorkload(const workloads::Mix &mix, const SystemConfig &cfg,
 /**
  * Caches IPC_alone per (config key, app).
  *
- * Thread-safe with compute-once semantics: when several sweep threads
- * need the same alone IPC, exactly one runs the simulation and the rest
- * block on its shared_future, so no alone-run is ever duplicated.
+ * Thread-safe with compute-once semantics (OnceMap): when several sweep
+ * threads need the same alone IPC, exactly one runs the simulation, so
+ * no alone-run is ever duplicated.
  *
  * Optionally shares a WarmupCache (so alone runs reuse warmups across
  * configuration points that agree on warmup-relevant fields) and a
@@ -121,8 +158,7 @@ class AloneIpcCache
     std::uint64_t persistentHits() const { return persistentHits_.load(); }
 
   private:
-    std::mutex mu_;
-    std::map<std::string, std::shared_future<double>> cache_;
+    OnceMap<double> ipcs_;
     WarmupCache *warm_ = nullptr;
     const ResultCache *results_ = nullptr;
     std::atomic<std::uint64_t> persistentHits_{0};

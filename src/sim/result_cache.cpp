@@ -17,33 +17,62 @@ namespace pra::sim {
 
 namespace {
 
-std::uint64_t
-doubleBits(double v)
+// --- Writing the serialized rows -----------------------------------------
+
+void
+put(std::ostream &os, std::uint64_t v)
+{
+    os << ' ' << v;
+}
+
+void
+put(std::ostream &os, double v)
 {
     std::uint64_t u;
     static_assert(sizeof(u) == sizeof(v));
     std::memcpy(&u, &v, sizeof(u));
-    return u;
+    os << " 0x" << std::hex << u << std::dec;
 }
 
-double
-bitsDouble(std::uint64_t u)
+/** Fixed arrays and per-core vectors: the length, then the values. */
+template <typename C>
+    requires requires(const C &c) { c.begin(); }
+void
+put(std::ostream &os, const C &a)
 {
-    double v;
-    std::memcpy(&v, &u, sizeof(v));
-    return v;
+    put(os, std::uint64_t{a.size()});
+    for (const auto &v : a)
+        put(os, v);
 }
 
 void
-putDouble(std::ostream &os, double v)
+put(std::ostream &os, const Histogram &h)
 {
-    os << "0x" << std::hex << doubleBits(v) << std::dec;
+    put(os, std::uint64_t{h.buckets()});
+    for (std::size_t b = 0; b < h.buckets(); ++b)
+        put(os, h.count(b));
+}
+
+void
+put(std::ostream &os, const Summary &s)
+{
+    put(os, s.samples());
+    put(os, s.sum());
+    put(os, s.min());
+    put(os, s.max());
+}
+
+void
+put(std::ostream &os, const power::EnergyBreakdown &b)
+{
+    forEachField([&os](const char *, unsigned, double v) { put(os, v); },
+                 b);
 }
 
 /**
- * Strict token-stream reader for deserialization: every labelled read
- * checks the expected label, and any failure poisons the whole parse
- * (deserializeRunResult then returns nullopt).
+ * Strict token-stream reader for deserialization: every row checks its
+ * label, every container its length, and any failure poisons the whole
+ * parse (deserializeRunResult then returns nullopt).
  */
 class TokenReader
 {
@@ -52,77 +81,113 @@ class TokenReader
 
     bool ok() const { return ok_; }
 
-    /** Read "label value" (or a bare value when label is null). */
-    std::uint64_t
-    u64(const char *label)
+    void
+    expect(const char *label)
     {
-        expect(label);
-        std::uint64_t v = 0;
-        if (ok_ && !(in_ >> v))
+        std::string tok;
+        if (ok_ && (!(in_ >> tok) || tok != label))
             ok_ = false;
-        return v;
     }
 
-    double
-    f64(const char *label)
+    void
+    read(std::uint64_t &v)
     {
-        expect(label);
-        if (!ok_)
-            return 0.0;
+        if (ok_ && !(in_ >> v))
+            ok_ = false;
+    }
+
+    void
+    read(double &v)
+    {
         std::string tok;
-        if (!(in_ >> tok) || tok.size() < 3 || tok[0] != '0' ||
+        if (!ok_ || !(in_ >> tok) || tok.size() < 3 || tok[0] != '0' ||
             tok[1] != 'x') {
             ok_ = false;
-            return 0.0;
+            return;
         }
         std::uint64_t u = 0;
         std::istringstream hex(tok.substr(2));
         if (!(hex >> std::hex >> u) || !hex.eof()) {
             ok_ = false;
-            return 0.0;
+            return;
         }
-        return bitsDouble(u);
+        std::memcpy(&v, &u, sizeof(v));
     }
 
-    /** Consume a bare label with no value (the "end" trailer). */
-    void marker(const char *label) { expect(label); }
-
-    /**
-     * Read "label N v0 ... vN-1" where N must equal @p expected_count
-     * (all serialized containers have fixed, config-independent sizes
-     * except ipc/retired, whose length the caller reads first).
-     */
-    template <typename Fill>
+    template <typename T, std::size_t N>
     void
-    u64Seq(const char *label, std::size_t expected_count, Fill fill)
+    read(std::array<T, N> &a)
     {
-        const std::uint64_t n = u64(label);
-        if (!ok_ || n != expected_count) {
+        if (length(N))
+            for (T &v : a)
+                read(v);
+    }
+
+    /** Per-core vectors: the first fixes the active-core count (1..64),
+     *  and every later one must repeat it. */
+    template <typename T>
+    void
+    read(std::vector<T> &a)
+    {
+        std::uint64_t n = 0;
+        read(n);
+        if (cores_ == 0 && n >= 1 && n <= 64)
+            cores_ = n;
+        if (!ok_ || n != cores_) {
             ok_ = false;
             return;
         }
-        for (std::size_t i = 0; ok_ && i < expected_count; ++i) {
+        a.resize(n);
+        for (T &v : a)
+            read(v);
+    }
+
+    void
+    read(Histogram &h)
+    {
+        if (!length(h.buckets()))
+            return;
+        for (std::size_t b = 0; b < h.buckets(); ++b) {
             std::uint64_t v = 0;
-            if (in_ >> v)
-                fill(i, v);
-            else
-                ok_ = false;
+            read(v);
+            h.record(b, v);
         }
+    }
+
+    void
+    read(Summary &s)
+    {
+        std::uint64_t n = 0;
+        double sum = 0.0, min = 0.0, max = 0.0;
+        read(n);
+        read(sum);
+        read(min);
+        read(max);
+        s = Summary::fromRaw(n, sum, min, max);
+    }
+
+    void
+    read(power::EnergyBreakdown &b)
+    {
+        forEachField([this](const char *, unsigned, double &v) { read(v); },
+                     b);
     }
 
   private:
-    void
-    expect(const char *label)
+    /** Read a container length that must equal @p expected. */
+    bool
+    length(std::size_t expected)
     {
-        if (!ok_ || label == nullptr)
-            return;
-        std::string tok;
-        if (!(in_ >> tok) || tok != label)
+        std::uint64_t n = 0;
+        read(n);
+        if (n != expected)
             ok_ = false;
+        return ok_;
     }
 
     std::istringstream in_;
     bool ok_ = true;
+    std::uint64_t cores_ = 0;
 };
 
 void
@@ -185,86 +250,14 @@ std::string
 serializeRunResult(const RunResult &res)
 {
     std::ostringstream os;
-    os << "ipc " << res.ipc.size();
-    for (double v : res.ipc) {
-        os << ' ';
-        putDouble(os, v);
-    }
-    os << "\nretired " << res.retired.size();
-    for (std::uint64_t v : res.retired)
-        os << ' ' << v;
-    os << "\ndram_cycles " << res.dramCycles << '\n';
-
-    const dram::ControllerStats &s = res.dramStats;
-    os << "read_reqs " << s.readReqs << '\n'
-       << "write_reqs " << s.writeReqs << '\n'
-       << "read_row_hits " << s.readRowHits << '\n'
-       << "write_row_hits " << s.writeRowHits << '\n'
-       << "read_row_misses " << s.readRowMisses << '\n'
-       << "write_row_misses " << s.writeRowMisses << '\n'
-       << "read_false_hits " << s.readFalseHits << '\n'
-       << "write_false_hits " << s.writeFalseHits << '\n'
-       << "acts_for_reads " << s.actsForReads << '\n'
-       << "acts_for_writes " << s.actsForWrites << '\n'
-       << "precharges " << s.precharges << '\n'
-       << "refreshes " << s.refreshes << '\n'
-       << "rfms " << s.rfms << '\n'
-       << "forwarded_reads " << s.forwardedReads << '\n';
-    os << "act_granularity " << s.actGranularity.buckets();
-    for (std::size_t b = 0; b < s.actGranularity.buckets(); ++b)
-        os << ' ' << s.actGranularity.count(b);
-    os << "\nread_act_granularity " << s.readActGranularity.buckets();
-    for (std::size_t b = 0; b < s.readActGranularity.buckets(); ++b)
-        os << ' ' << s.readActGranularity.count(b);
-    os << "\nread_latency " << s.readLatency.samples() << ' ';
-    putDouble(os, s.readLatency.sum());
-    os << ' ';
-    putDouble(os, s.readLatency.min());
-    os << ' ';
-    putDouble(os, s.readLatency.max());
-    os << '\n';
-
-    const power::EnergyCounts &e = res.energy;
-    os << "acts " << e.acts.size();
-    for (std::uint64_t v : e.acts)
-        os << ' ' << v;
-    os << "\nacts_half " << e.actsHalfHeight.size();
-    for (std::uint64_t v : e.actsHalfHeight)
-        os << ' ' << v;
-    os << "\nsds_acts " << e.sdsActs << '\n'
-       << "sds_chips " << e.sdsChipsActivated << '\n'
-       << "read_lines " << e.readLines << '\n'
-       << "write_lines " << e.writeLines << '\n'
-       << "write_words_driven " << e.writeWordsDriven << '\n'
-       << "read_words_driven " << e.readWordsDriven << '\n'
-       << "act_standby_cycles " << e.actStandbyCycles << '\n'
-       << "pre_standby_cycles " << e.preStandbyCycles << '\n'
-       << "power_down_cycles " << e.powerDownCycles << '\n'
-       << "refresh_ops " << e.refreshOps << '\n'
-       << "rfm_ops " << e.rfmOps << '\n'
-       << "elapsed_cycles " << e.elapsedCycles << '\n';
-
-    os << "dirty_words " << res.dirtyWords.buckets();
-    for (std::size_t b = 0; b < res.dirtyWords.buckets(); ++b)
-        os << ' ' << res.dirtyWords.count(b);
-    os << "\nmem_reads " << res.memReads << '\n'
-       << "mem_writes " << res.memWrites << '\n'
-       << "dbi_proactive " << res.dbiProactive << '\n';
-
-    const power::EnergyBreakdown &bd = res.breakdown;
-    os << "breakdown";
-    for (double v : {bd.actPre, bd.read, bd.write, bd.readIo, bd.writeIo,
-                     bd.background, bd.refresh}) {
-        os << ' ';
-        putDouble(os, v);
-    }
-    os << "\navg_power_mw ";
-    putDouble(os, res.avgPowerMw);
-    os << "\ntotal_energy_nj ";
-    putDouble(os, res.totalEnergyNj);
-    os << "\nedp ";
-    putDouble(os, res.edp);
-    os << "\nend\n";
+    forEachField(
+        [&os](const char *key, unsigned, const auto &m) {
+            os << key;
+            put(os, m);
+            os << '\n';
+        },
+        res);
+    os << "end\n";
     return os.str();
 }
 
@@ -273,90 +266,13 @@ deserializeRunResult(const std::string &text)
 {
     TokenReader r(text);
     RunResult res;
-
-    // ipc/retired carry their own length (the active-core count); every
-    // other container has a fixed size checked by u64Seq.
-    const std::uint64_t cores = r.u64("ipc");
-    if (!r.ok() || cores == 0 || cores > 64)
-        return std::nullopt;
-    res.ipc.reserve(cores);
-    for (std::uint64_t i = 0; i < cores; ++i)
-        res.ipc.push_back(r.f64(nullptr));
-    res.retired.reserve(cores);
-    r.u64Seq("retired", cores,
-             [&](std::size_t, std::uint64_t v) { res.retired.push_back(v); });
-    res.dramCycles = r.u64("dram_cycles");
-
-    dram::ControllerStats &s = res.dramStats;
-    s.readReqs = r.u64("read_reqs");
-    s.writeReqs = r.u64("write_reqs");
-    s.readRowHits = r.u64("read_row_hits");
-    s.writeRowHits = r.u64("write_row_hits");
-    s.readRowMisses = r.u64("read_row_misses");
-    s.writeRowMisses = r.u64("write_row_misses");
-    s.readFalseHits = r.u64("read_false_hits");
-    s.writeFalseHits = r.u64("write_false_hits");
-    s.actsForReads = r.u64("acts_for_reads");
-    s.actsForWrites = r.u64("acts_for_writes");
-    s.precharges = r.u64("precharges");
-    s.refreshes = r.u64("refreshes");
-    s.rfms = r.u64("rfms");
-    s.forwardedReads = r.u64("forwarded_reads");
-    r.u64Seq("act_granularity", s.actGranularity.buckets(),
-             [&](std::size_t b, std::uint64_t v) {
-                 s.actGranularity.record(b, v);
-             });
-    r.u64Seq("read_act_granularity", s.readActGranularity.buckets(),
-             [&](std::size_t b, std::uint64_t v) {
-                 s.readActGranularity.record(b, v);
-             });
-    {
-        const std::uint64_t n = r.u64("read_latency");
-        const double sum = r.f64(nullptr);
-        const double min = r.f64(nullptr);
-        const double max = r.f64(nullptr);
-        s.readLatency = Summary::fromRaw(n, sum, min, max);
-    }
-
-    power::EnergyCounts &e = res.energy;
-    r.u64Seq("acts", e.acts.size(),
-             [&](std::size_t i, std::uint64_t v) { e.acts[i] = v; });
-    r.u64Seq("acts_half", e.actsHalfHeight.size(),
-             [&](std::size_t i, std::uint64_t v) { e.actsHalfHeight[i] = v; });
-    e.sdsActs = r.u64("sds_acts");
-    e.sdsChipsActivated = r.u64("sds_chips");
-    e.readLines = r.u64("read_lines");
-    e.writeLines = r.u64("write_lines");
-    e.writeWordsDriven = r.u64("write_words_driven");
-    e.readWordsDriven = r.u64("read_words_driven");
-    e.actStandbyCycles = r.u64("act_standby_cycles");
-    e.preStandbyCycles = r.u64("pre_standby_cycles");
-    e.powerDownCycles = r.u64("power_down_cycles");
-    e.refreshOps = r.u64("refresh_ops");
-    e.rfmOps = r.u64("rfm_ops");
-    e.elapsedCycles = r.u64("elapsed_cycles");
-
-    r.u64Seq("dirty_words", res.dirtyWords.buckets(),
-             [&](std::size_t b, std::uint64_t v) {
-                 res.dirtyWords.record(b, v);
-             });
-    res.memReads = r.u64("mem_reads");
-    res.memWrites = r.u64("mem_writes");
-    res.dbiProactive = r.u64("dbi_proactive");
-
-    power::EnergyBreakdown &bd = res.breakdown;
-    bd.actPre = r.f64("breakdown");
-    bd.read = r.f64(nullptr);
-    bd.write = r.f64(nullptr);
-    bd.readIo = r.f64(nullptr);
-    bd.writeIo = r.f64(nullptr);
-    bd.background = r.f64(nullptr);
-    bd.refresh = r.f64(nullptr);
-    res.avgPowerMw = r.f64("avg_power_mw");
-    res.totalEnergyNj = r.f64("total_energy_nj");
-    res.edp = r.f64("edp");
-    r.marker("end");   // Fails the parse when the trailer is missing.
-
+    forEachField(
+        [&r](const char *key, unsigned, auto &m) {
+            r.expect(key);
+            r.read(m);
+        },
+        res);
+    r.expect("end");   // Fails the parse when the trailer is missing.
     if (!r.ok())
         return std::nullopt;
     return res;

@@ -61,10 +61,38 @@ struct SystemConfig
      * (DramConfig::forceRounds) and fingerprint-checks warm-snapshot
      * forks.
      */
-    bool enableAudit = false;       // pra-lint: observational
+    bool enableAudit = false;
     /** Auditor coherence-scan stride in accesses; 0 = auto. */
-    unsigned auditScanStride = 0;   // pra-lint: observational
+    unsigned auditScanStride = 0;
 };
+
+/**
+ * SystemConfig's field table (common/fields.h), with the nested DRAM,
+ * core and cache tables flattened in: the one ordered list of config
+ * keys behind canonicalConfig() and applyConfigLine().
+ */
+template <typename Visit, typename... Self>
+    requires FieldsOf<SystemConfig, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[dram, core, caches, enableDbi, warmupOpsPerCore,
+                            targetInstructions, maxDramCycles,
+                            writebackBacklogLimit, enableCycleSkip,
+                            enableAudit, auditScanStride] = fieldsHead(s...);
+    forEachField(v, s.dram...);
+    forEachField(v, s.core...);
+    forEachField(v, s.caches...);
+    v("dbi", kFieldSettable, s.enableDbi...);
+    v("warmup_ops", kFieldSettable, s.warmupOpsPerCore...);
+    v("target_instructions", kFieldSettable, s.targetInstructions...);
+    v("max_cycles", kFieldSettable, s.maxDramCycles...);
+    v("writeback_backlog", kFieldSettable, s.writebackBacklogLimit...);
+    v("cycle_skip", kFieldSettable, s.enableCycleSkip...);
+    v("audit", kFieldSettable | kFieldObservational, s.enableAudit...);
+    v("audit_scan_stride", kFieldSettable | kFieldObservational,
+      s.auditScanStride...);
+}
 
 /** Everything one simulation run produces. */
 struct RunResult
@@ -94,6 +122,36 @@ struct RunResult
      */
     dram::EngineStats engine;
 };
+
+/**
+ * RunResult's field table (common/fields.h), with the controller and
+ * energy tables flattened in: the rows and order of the serialized
+ * result (sim/result_cache.h). `engine` has no row: the event-engine
+ * counters are observational and stay out of the serialization.
+ */
+template <typename Visit, typename... Self>
+    requires FieldsOf<RunResult, Self...>
+void
+forEachField(Visit &&v, Self &...s)
+{
+    [[maybe_unused]] auto &[ipc, retired, dramCycles, dramStats, energy,
+                            dirtyWords, memReads, memWrites, dbiProactive,
+                            breakdown, avgPowerMw, totalEnergyNj, edp,
+                            engine] = fieldsHead(s...);
+    v("ipc", 0, s.ipc...);
+    v("retired", 0, s.retired...);
+    v("dram_cycles", 0, s.dramCycles...);
+    forEachField(v, s.dramStats...);
+    forEachField(v, s.energy...);
+    v("dirty_words", 0, s.dirtyWords...);
+    v("mem_reads", 0, s.memReads...);
+    v("mem_writes", 0, s.memWrites...);
+    v("dbi_proactive", 0, s.dbiProactive...);
+    v("breakdown", 0, s.breakdown...);
+    v("avg_power_mw", 0, s.avgPowerMw...);
+    v("total_energy_nj", 0, s.totalEnergyNj...);
+    v("edp", 0, s.edp...);
+}
 
 /**
  * Immutable image of a system's state right after functional warmup:

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "cache/hierarchy.h"
 
@@ -83,10 +85,12 @@ maskStr(WordMask m)
 power::EnergyCounts
 commandCountsOnly(power::EnergyCounts c)
 {
-    c.actStandbyCycles = 0;
-    c.preStandbyCycles = 0;
-    c.powerDownCycles = 0;
-    c.elapsedCycles = 0;
+    forEachField(
+        [](const char *, unsigned flags, auto &m) {
+            if (!(flags & kFieldCommandDriven))
+                m = {};
+        },
+        c);
     return c;
 }
 
@@ -732,32 +736,29 @@ Auditor::finalize(const power::EnergyCounts &aggregate)
 {
     closeEnergyWindow();
 
-    auto check_count = [&](const char *name, std::uint64_t shadow,
+    auto check_count = [&](const std::string &name, std::uint64_t shadow,
                            std::uint64_t agg) {
         ++stat(Invariant::EnergyConservation).checks;
         if (shadow != agg) {
             fail(Invariant::EnergyConservation, aggregate.elapsedCycles,
-                 std::string(name) + ": shadow command count " +
-                     std::to_string(shadow) + " != aggregate " +
-                     std::to_string(agg));
+                 name + ": shadow command count " + std::to_string(shadow) +
+                     " != aggregate " + std::to_string(agg));
         }
     };
-    for (unsigned g = 0; g < shadow_.acts.size(); ++g) {
-        check_count(("acts[" + std::to_string(g + 1) + "]").c_str(),
-                    shadow_.acts[g], aggregate.acts[g]);
-        check_count(
-            ("actsHalfHeight[" + std::to_string(g + 1) + "]").c_str(),
-            shadow_.actsHalfHeight[g], aggregate.actsHalfHeight[g]);
-    }
-    check_count("sdsActs", shadow_.sdsActs, aggregate.sdsActs);
-    check_count("sdsChipsActivated", shadow_.sdsChipsActivated,
-                aggregate.sdsChipsActivated);
-    check_count("readLines", shadow_.readLines, aggregate.readLines);
-    check_count("writeLines", shadow_.writeLines, aggregate.writeLines);
-    check_count("writeWordsDriven", shadow_.writeWordsDriven,
-                aggregate.writeWordsDriven);
-    check_count("refreshOps", shadow_.refreshOps, aggregate.refreshOps);
-    check_count("rfmOps", shadow_.rfmOps, aggregate.rfmOps);
+    auto check_row = [&](const char *key, unsigned flags,
+                         const auto &shadow, const auto &agg) {
+        if (!(flags & kFieldCommandDriven))
+            return;
+        if constexpr (std::is_integral_v<std::decay_t<decltype(agg)>>) {
+            check_count(key, shadow, agg);
+        } else {
+            for (std::size_t g = 0; g < agg.size(); ++g)
+                check_count(std::string(key) + "[" + std::to_string(g + 1) +
+                                "]",
+                            shadow[g], agg[g]);
+        }
+    };
+    forEachField(check_row, shadow_, aggregate);
 
     // Background residency is not event-driven; conservation here means
     // every rank is in exactly one background state every cycle.

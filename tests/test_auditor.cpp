@@ -175,6 +175,28 @@ TEST(Auditor, FingerprintMismatchFlagged)
               std::string::npos);
 }
 
+TEST(Auditor, FinalizeComparesEveryCommandDrivenCount)
+{
+    // Every command-driven EnergyCounts row must match the shadow
+    // exactly — readWordsDriven included (sectored reads drive fewer
+    // words than a full line).
+    power::EnergyCounts aggregate;
+    Auditor clean(praAuditConfig());
+    clean.finalize(aggregate);
+    EXPECT_TRUE(clean.clean()) << clean.report();
+
+    ++aggregate.readWordsDriven;
+    Auditor a(praAuditConfig());
+    a.finalize(aggregate);
+    ASSERT_FALSE(a.clean());
+    EXPECT_NE(a.violations()[0].find("power.event-conservation"),
+              std::string::npos)
+        << a.report();
+    EXPECT_NE(a.violations()[0].find("read_words_driven"),
+              std::string::npos)
+        << a.report();
+}
+
 // --- PRAC count conservation (DESIGN.md §13) --------------------------
 
 AuditConfig

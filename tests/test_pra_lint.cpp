@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the repo-specific lint engine (src/analysis/lint.h): each
- * rule is drilled with synthetic sources (including the "field added to
- * DramConfig without a canonicalConfig entry" scenario the lint exists
- * to catch), and the real tree under PRA_SOURCE_DIR must scan clean.
+ * rule is drilled with synthetic sources, and the real tree under
+ * PRA_SOURCE_DIR must scan clean.
  *
  * Note: this file spells forbidden entropy patterns (rand(), ...)
  * inside drill inputs. That is safe because the entropy rule scopes
@@ -339,151 +338,6 @@ TEST(SchemeLocalityRule, ScopeSuppressionAndAllowedIdioms)
     EXPECT_TRUE(issues.empty()) << joined(issues);
 }
 
-// --- Rule: config-coverage ----------------------------------------------
-
-namespace drill {
-
-const char *const kConfigHeader =
-    "struct DramConfig\n"
-    "{\n"
-    "    unsigned channels = 2;\n"
-    "    unsigned newKnob = 1;\n"
-    "};\n";
-
-const char *const kSystemHeader =
-    "struct SystemConfig\n"
-    "{\n"
-    "    dram::DramConfig dram{};\n"
-    "    bool enableAudit = false;   // pra-lint: observational\n"
-    "};\n";
-
-std::vector<SourceFile>
-files(const std::string &config_io)
-{
-    return {{"src/dram/config.h", kConfigHeader},
-            {"src/sim/system.h", kSystemHeader},
-            {"src/sim/config_io.cpp", config_io}};
-}
-
-} // namespace drill
-
-TEST(ConfigCoverageRule, FieldMissingFromCanonicalConfigFails)
-{
-    // The ISSUE drill: a field added to DramConfig with a parse handler
-    // but no canonicalConfig entry must fail the lint.
-    const auto issues = issuesOfRule(
-        lintSources(drill::files(
-            "std::string canonicalConfig(const SystemConfig &cfg)\n"
-            "{ return std::to_string(cfg.dram.channels); }\n"
-            "void applyConfigLine(SystemConfig &c)\n"
-            "{ c.dram.channels = 1; c.dram.newKnob = 2; "
-            "c.enableAudit = true; }\n")),
-        "config-coverage");
-    ASSERT_EQ(issues.size(), 1u) << joined(issues);
-    EXPECT_EQ(issues[0].file, "src/dram/config.h");
-    EXPECT_NE(issues[0].message.find("newKnob"), std::string::npos);
-    EXPECT_NE(issues[0].message.find("canonicalConfig"), std::string::npos);
-}
-
-TEST(ConfigCoverageRule, FieldMissingFromApplyConfigLineFails)
-{
-    const auto issues = issuesOfRule(
-        lintSources(drill::files(
-            "std::string canonicalConfig(const SystemConfig &cfg)\n"
-            "{ return std::to_string(cfg.dram.channels + cfg.dram.newKnob);"
-            " }\n"
-            "void applyConfigLine(SystemConfig &c)\n"
-            "{ c.dram.channels = 1; c.enableAudit = true; }\n")),
-        "config-coverage");
-    ASSERT_EQ(issues.size(), 1u) << joined(issues);
-    EXPECT_NE(issues[0].message.find("newKnob"), std::string::npos);
-    EXPECT_NE(issues[0].message.find("applyConfigLine"), std::string::npos);
-}
-
-TEST(ConfigCoverageRule, FullCoverageAndObservationalExemptionPass)
-{
-    // enableAudit is annotated observational: exempt from the canonical
-    // key (it cannot affect results) but still settable from configs.
-    const auto issues = issuesOfRule(
-        lintSources(drill::files(
-            "std::string canonicalConfig(const SystemConfig &cfg)\n"
-            "{ return std::to_string(cfg.dram.channels + cfg.dram.newKnob);"
-            " }\n"
-            "void applyConfigLine(SystemConfig &c)\n"
-            "{ c.dram.channels = 1; c.dram.newKnob = 2; "
-            "c.enableAudit = true; }\n")),
-        "config-coverage");
-    EXPECT_TRUE(issues.empty()) << joined(issues);
-}
-
-TEST(ConfigCoverageRule, NoConfigKeyMarkerExemptsOnlyTheHandler)
-{
-    // A switch System sets from the environment carries no config key:
-    // `pra-lint: no-config-key` on the line above exempts it from the
-    // handler check, but not from the canonical key.
-    const std::vector<SourceFile> files{
-        {"src/dram/config.h",
-         "struct DramConfig\n"
-         "{\n"
-         "    unsigned channels = 2;\n"
-         "    // pra-lint: no-config-key\n"
-         "    bool envSwitch = false;   // pra-lint: observational\n"
-         "    // pra-lint: no-config-key\n"
-         "    unsigned envKnob = 0;\n"
-         "};\n"},
-        {"src/sim/system.h", drill::kSystemHeader},
-        {"src/sim/config_io.cpp",
-         "std::string canonicalConfig(const SystemConfig &cfg)\n"
-         "{ return std::to_string(cfg.dram.channels); }\n"
-         "void applyConfigLine(SystemConfig &c)\n"
-         "{ c.dram.channels = 1; c.enableAudit = true; }\n"}};
-    const auto issues =
-        issuesOfRule(lintSources(files), "config-coverage");
-    ASSERT_EQ(issues.size(), 1u) << joined(issues);
-    EXPECT_NE(issues[0].message.find("envKnob"), std::string::npos);
-    EXPECT_NE(issues[0].message.find("canonicalConfig"), std::string::npos);
-}
-
-TEST(ConfigCoverageRule, MentionInsideDumpConfigDoesNotCount)
-{
-    // dumpConfig mentioning the field must not mask the missing handler.
-    const auto issues = issuesOfRule(
-        lintSources(drill::files(
-            "std::string canonicalConfig(const SystemConfig &cfg)\n"
-            "{ return std::to_string(cfg.dram.channels + cfg.dram.newKnob);"
-            " }\n"
-            "std::string dumpConfig(const SystemConfig &cfg)\n"
-            "{ return std::to_string(cfg.dram.newKnob + cfg.enableAudit); "
-            "}\n"
-            "void applyConfigLine(SystemConfig &c)\n"
-            "{ c.dram.channels = 1; c.enableAudit = true; }\n")),
-        "config-coverage");
-    ASSERT_EQ(issues.size(), 1u) << joined(issues);
-    EXPECT_NE(issues[0].message.find("newKnob"), std::string::npos);
-}
-
-// --- Rule: energy-coverage ----------------------------------------------
-
-TEST(EnergyCoverageRule, UnconsumedCounterFails)
-{
-    const std::vector<SourceFile> files{
-        {"src/power/power_model.h",
-         "struct EnergyCounts\n"
-         "{\n"
-         "    std::uint64_t readLines = 0;\n"
-         "    std::uint64_t orphanCount = 0;\n"
-         "};\n"},
-        {"src/power/power_model.cpp",
-         "double f(const EnergyCounts &c) { return 1.0 * c.readLines; }\n"},
-        {"src/verify/auditor.cpp",
-         "void check(const EnergyCounts &c)\n"
-         "{ expect(c.readLines); expect(c.orphanCount); }\n"}};
-    const auto issues = issuesOfRule(lintSources(files), "energy-coverage");
-    ASSERT_EQ(issues.size(), 1u) << joined(issues);
-    EXPECT_NE(issues[0].message.find("orphanCount"), std::string::npos);
-    EXPECT_NE(issues[0].message.find("power_model.cpp"), std::string::npos);
-}
-
 // --- Rule: fault-coverage -----------------------------------------------
 
 namespace faultdrill {
@@ -578,15 +432,18 @@ TEST(FaultCoverageRule, NonHookFieldsAreOutOfScope)
 
 namespace maintopdrill {
 
-/** A config_io.cpp stand-in whose canonical key names (or omits) an op. */
+/** A dram/config.h stand-in whose field table names (or omits) an op. */
 std::string
-configIo(bool names_op)
+configHeader(bool names_op)
 {
-    std::string body = "std::string canonicalConfig(const SystemConfig "
-                       "&cfg)\n{\n    std::ostringstream os;\n";
+    std::string body =
+        "template <typename Visit, typename... Self>\n"
+        "void\nforEachField(Visit &&v, Self &...s)\n{\n"
+        "    v(\"channels\", kFieldSettable, s.channels...);\n";
     if (names_op)
-        body += "    os << \"maint_op = scrub_patrol\" << '\\n';\n";
-    body += "    return os.str();\n}\n";
+        body += "    v(\"maint_op\", 0, std::string_view(\n"
+                "        s.scrub ? \"scrub_patrol\" : \"none\")...);\n";
+    body += "}\n";
     return body;
 }
 
@@ -596,7 +453,7 @@ files(const std::string &src_text, const std::string &test_text,
 {
     std::vector<SourceFile> out{
         {"src/dram/engine_user.cpp", src_text},
-        {"src/sim/config_io.cpp", configIo(canonical_names_op)}};
+        {"src/dram/config.h", configHeader(canonical_names_op)}};
     if (!test_text.empty())
         out.push_back({"tests/test_drill.cpp", test_text});
     return out;
@@ -759,15 +616,15 @@ TEST(RepoScan, SourceTreeIsLintClean)
     EXPECT_TRUE(issues.empty()) << joined(issues);
 
     // The scan must have really exercised the coverage rules: the
-    // config, energy, and fault-coverage anchors exist in the tree.
-    bool sawConfig = false, sawPower = false, sawTests = false;
+    // fault- and maintop-coverage anchors exist in the tree.
+    bool sawConfig = false, sawChecker = false, sawTests = false;
     for (const SourceFile &f : files) {
-        sawConfig |= f.path == "src/sim/config_io.cpp";
-        sawPower |= f.path == "src/power/power_model.cpp";
+        sawConfig |= f.path == "src/dram/config.h";
+        sawChecker |= f.path == "src/analysis/model_checker.h";
         sawTests |= f.path.rfind("tests/", 0) == 0;
     }
     EXPECT_TRUE(sawConfig);
-    EXPECT_TRUE(sawPower);
+    EXPECT_TRUE(sawChecker);
     EXPECT_TRUE(sawTests);
 #endif
 }

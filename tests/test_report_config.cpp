@@ -5,8 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
+#include <type_traits>
 
+#include "field_perturb.h"
 #include "sim/config_io.h"
 #include "sim/report.h"
 
@@ -70,6 +73,172 @@ TEST(Report, CsvWriterEmitsHeaderOnce)
     const std::string out = os.str();
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
     EXPECT_EQ(out.find("workload,"), 0u);
+}
+
+// Config-line text of a row's value (the syntax applyConfigLine parses).
+template <typename T>
+    requires std::is_integral_v<T>
+std::string
+textOf(T v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return v ? "true" : "false";
+    else
+        return std::to_string(static_cast<std::uint64_t>(v));
+}
+
+std::string
+textOf(double v)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+}
+
+std::string
+textOf(dram::AddrMapping v)
+{
+    return std::to_string(static_cast<int>(v));
+}
+
+std::string
+textOf(dram::SchedulerKind v)
+{
+    return dram::schedulerKindName(v);
+}
+
+std::string
+textOf(const SchemeModel *v)
+{
+    return v->name();
+}
+
+template <typename D>
+std::string
+textOf(dram::PolicyKey<D> k)
+{
+    switch (k.cfg.policy) {
+      case dram::PagePolicy::RelaxedClose:
+        return "relaxed";
+      case dram::PagePolicy::RestrictedClose:
+        return "restricted";
+      case dram::PagePolicy::OpenPage:
+        return "openpage";
+    }
+    return "?";
+}
+
+template <typename T>
+std::string
+textOf(KiB<T> k)
+{
+    return std::to_string(k.bytes / 1024);
+}
+
+std::string
+textOf(std::string_view v)
+{
+    return std::string(v);
+}
+
+std::string
+rowText(const SystemConfig &cfg, std::size_t row)
+{
+    std::string out;
+    std::size_t i = 0;
+    forEachField(
+        [&](const char *, unsigned, const auto &m) {
+            if (i++ == row)
+                out = textOf(m);
+        },
+        cfg);
+    return out;
+}
+
+TEST(ConfigIo, EverySettableKeyRoundTrips)
+{
+    // Driven by SystemConfig's field table: each settable row, changed
+    // and written as a config line, must parse back to the same value
+    // and the same canonical config.
+    const SystemConfig base;
+    std::size_t settable = 0;
+    for (std::size_t i = 0; i < test::rowCount(base); ++i) {
+        SystemConfig want = base;
+        const test::PerturbedRow row = test::perturbRow(want, i);
+        if (!(row.flags & kFieldSettable))
+            continue;
+        ++settable;
+        ASSERT_TRUE(row.changed) << row.key;
+        const std::string text = rowText(want, i);
+        ASSERT_NE(text, rowText(base, i)) << row.key;
+
+        SystemConfig got = base;
+        ASSERT_TRUE(applyConfigLine(row.key + " = " + text, got))
+            << row.key;
+        EXPECT_EQ(rowText(got, i), text) << row.key;
+        EXPECT_EQ(canonicalConfig(got), canonicalConfig(want)) << row.key;
+    }
+    EXPECT_EQ(settable, 53u);
+}
+
+TEST(EnergyCountsFields, EveryCountMovesEnergyOrPower)
+{
+    // Driven by EnergyCounts' field table: one more event in any row
+    // (any granularity of the activation arrays) must reach the power
+    // model, or its energy is silently dropped. One ECC chip, so the
+    // SDS activations count too (ECC devices activate full rows).
+    const dram::DramConfig d;
+    const power::PowerModel model(d.power, d.chipsPerRank,
+                                  d.ranksPerChannel, /*ecc_chips=*/1);
+    power::EnergyCounts base;
+    forEachField(
+        [](const char *, unsigned, auto &m) {
+            if constexpr (std::is_integral_v<std::decay_t<decltype(m)>>)
+                m = 1000;
+            else
+                m.fill(1000);
+        },
+        base);
+    const double total = model.energy(base).total();
+    const double power = model.averagePower(base);
+
+    // Bump element @p elem of row @p row; the key, or "" past its end.
+    auto bump = [](power::EnergyCounts &c, std::size_t row,
+                   std::size_t elem) {
+        std::string key;
+        std::size_t i = 0;
+        forEachField(
+            [&](const char *k, unsigned, auto &m) {
+                if (i++ != row)
+                    return;
+                if constexpr (std::is_integral_v<
+                                  std::decay_t<decltype(m)>>) {
+                    if (elem == 0) {
+                        ++m;
+                        key = k;
+                    }
+                } else if (elem < m.size()) {
+                    ++m[elem];
+                    key = std::string(k) + "[" + std::to_string(elem) + "]";
+                }
+            },
+            c);
+        return key;
+    };
+    std::size_t checked = 0;
+    for (std::size_t row = 0; row < test::rowCount(base); ++row) {
+        for (std::size_t elem = 0;; ++elem) {
+            power::EnergyCounts c = base;
+            const std::string key = bump(c, row, elem);
+            if (key.empty())
+                break;
+            ++checked;
+            EXPECT_TRUE(model.energy(c).total() != total ||
+                        model.averagePower(c) != power)
+                << key;
+        }
+    }
+    EXPECT_EQ(checked, 2 * 8 + 12u);
 }
 
 TEST(ConfigIo, AppliesSchemeAndPolicy)

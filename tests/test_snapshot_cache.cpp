@@ -19,6 +19,7 @@
 #include <fstream>
 #include <string>
 
+#include "field_perturb.h"
 #include "sim/result_cache.h"
 #include "sim/runner.h"
 
@@ -189,6 +190,28 @@ TEST(RunResultSerialization, RoundTripIsBitExact)
     EXPECT_EQ(serializeRunResult(*back), text);
 }
 
+TEST(RunResultSerialization, EveryRowIsSerializedAndRoundTrips)
+{
+    // Driven by RunResult's field table: a row the serialization drops
+    // (or the parse skips) cannot change the text or survive the round
+    // trip.
+    const RunResult base = runWorkload(gupsRate(),
+                                       shortConfig(&schemeByName("pra")));
+    const std::string text = serializeRunResult(base);
+    const std::size_t rows = test::rowCount(base);
+    ASSERT_GT(rows, 40u);
+    for (std::size_t i = 0; i < rows; ++i) {
+        RunResult res = base;
+        const test::PerturbedRow row = test::perturbRow(res, i);
+        ASSERT_TRUE(row.changed) << row.key;
+        const std::string changed = serializeRunResult(res);
+        EXPECT_NE(changed, text) << row.key;
+        const std::optional<RunResult> back = deserializeRunResult(changed);
+        ASSERT_TRUE(back.has_value()) << row.key;
+        EXPECT_EQ(serializeRunResult(*back), changed) << row.key;
+    }
+}
+
 TEST(RunResultSerialization, RejectsCorruptedText)
 {
     const RunResult res = runWorkload(gupsRate(),
@@ -232,6 +255,34 @@ TEST(ResultCacheKey, SensitiveToEveryInput)
 
     // A salt bump must invalidate everything.
     EXPECT_NE(mat, resultCacheMaterial(base, gupsRate(), "v2-salt"));
+}
+
+TEST(ResultCacheKey, SensitiveToEveryConfigRowButTheObservational)
+{
+    // Driven by SystemConfig's field table: every row that can change
+    // simulated results must reach the canonical key, and the
+    // observational rows must not (forced-round and audited runs share
+    // cache entries with plain ones).
+    const SystemConfig base = shortConfig(&schemeByName("pra"));
+    const std::string mat = resultCacheMaterial(base, gupsRate());
+    const std::size_t rows = test::rowCount(base);
+    ASSERT_GT(rows, 100u);
+    std::vector<std::string> observational;
+    for (std::size_t i = 0; i < rows; ++i) {
+        SystemConfig cfg = base;
+        const test::PerturbedRow row = test::perturbRow(cfg, i);
+        if (!row.changed)
+            continue;   // prac_op follows `prac`, drilled below.
+        if (row.flags & kFieldObservational) {
+            observational.push_back(row.key);
+            EXPECT_EQ(mat, resultCacheMaterial(cfg, gupsRate())) << row.key;
+        } else {
+            EXPECT_NE(mat, resultCacheMaterial(cfg, gupsRate())) << row.key;
+        }
+    }
+    EXPECT_EQ(observational, (std::vector<std::string>{
+                                 "force_rounds", "audit",
+                                 "audit_scan_stride"}));
 }
 
 TEST(ResultCacheKey, SensitiveToEveryPracKnob)
