@@ -1648,6 +1648,12 @@ faultName(Fault f)
     return "none";
 }
 
+void
+PrintTo(Fault f, std::ostream *os)
+{
+    *os << faultName(f);
+}
+
 bool
 parseFault(const std::string &name, Fault &out)
 {

@@ -71,6 +71,7 @@
 #define PRA_ANALYSIS_MODEL_CHECKER_H
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,13 @@ const char *faultName(Fault f);
 
 /** Inverse of faultName(); returns false on unknown spellings. */
 bool parseFault(const std::string &name, Fault &out);
+
+/**
+ * googletest's printer for Fault (found by argument-dependent lookup):
+ * the faultName() spelling, so a test parameterised over faults is named
+ * after the fault rather than its bytes.
+ */
+void PrintTo(Fault f, std::ostream *os);
 
 /** One request of the exploration workload. */
 struct ModelRequest

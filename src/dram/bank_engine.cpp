@@ -12,27 +12,6 @@ BankEngine::BankEngine(const DramConfig &cfg) : cfg_(&cfg)
 }
 
 void
-BankEngine::recountOpenRowMatches(unsigned r, unsigned b,
-                                  std::deque<Request> &readQ,
-                                  std::deque<Request> &writeQ)
-{
-    BankInfo &bi = info(r, b);
-    bi.openRowMatches = 0;
-    if (!bank(r, b).isOpen())
-        return;
-    auto count = [&](std::deque<Request> &q) {
-        for (auto &req : q) {
-            if (req.loc.rank == r && req.loc.bank == b &&
-                probe(req) == RowProbe::Hit) {
-                ++bi.openRowMatches;
-            }
-        }
-    };
-    count(readQ);
-    count(writeQ);
-}
-
-void
 BankEngine::fingerprint(Fnv1a &h, Cycle now, Cycle horizon) const
 {
     for (const Rank &r : ranks_)

@@ -13,7 +13,7 @@
 #ifndef PRA_DRAM_BANK_ENGINE_H
 #define PRA_DRAM_BANK_ENGINE_H
 
-#include <deque>
+#include <cstddef>
 #include <vector>
 
 #include "dram/config.h"
@@ -111,12 +111,32 @@ class BankEngine
 
     /**
      * Recount open-row matches for bank (r, b) after an activation
-     * changed the open row/mask, scanning both queues with the cached
-     * probe.
+     * changed the open row/mask, with the cached probe. Each of
+     * @p queues is a range of Request &; requests of other banks are
+     * skipped, so a caller may pass whole queues or just the bank's own
+     * lists. Returns the number of requests examined.
      */
-    void recountOpenRowMatches(unsigned r, unsigned b,
-                               std::deque<Request> &readQ,
-                               std::deque<Request> &writeQ);
+    template <typename... Queues>
+    std::size_t
+    recountOpenRowMatches(unsigned r, unsigned b, Queues &&...queues)
+    {
+        BankInfo &bi = info(r, b);
+        bi.openRowMatches = 0;
+        if (!bank(r, b).isOpen())
+            return 0;
+        std::size_t visited = 0;
+        auto count = [&](auto &&queue) {
+            for (Request &req : queue) {
+                ++visited;
+                if (req.loc.rank == r && req.loc.bank == b &&
+                    probe(req) == RowProbe::Hit) {
+                    ++bi.openRowMatches;
+                }
+            }
+        };
+        (count(queues), ...);
+        return visited;
+    }
 
     /**
      * Analysis probe seam: fold every rank/bank FSM plus the per-bank

@@ -1,6 +1,7 @@
 #include "dram/controller.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +41,9 @@ MemoryController::MemoryController(const DramConfig &cfg,
     : cfg_(&cfg), scheme_(cfg.scheme), channelId_(channel_id),
       banks_(cfg), bus_(cfg), sched_(makeSchedulerPolicy(cfg)),
       maint_(cfg, banks_, *this), prac_(cfg),
+      readQ_(cfg.ranksPerChannel, cfg.banksPerRank),
+      writeQ_(cfg.ranksPerChannel, cfg.banksPerRank),
+      uncountedHitBanks_(cfg.ranksPerChannel, 0),
       tables_(TimingTables::build(cfg)), replayForce_(cfg.forceRounds)
 {
     if (cfg.enableChecker)
@@ -102,53 +106,54 @@ MemoryController::enqueue(Request req, Cycle now)
                                     req.mask, req.chipMask});
         }
         // Write combining: coalesce with a queued write to the same line
-        // (O(1) via the address index; queued write addresses are unique).
-        if (auto it = writeIndex_.find(req.addr); it != writeIndex_.end()) {
-            Request &w = writeQ_[it->second];
-            w.mask |= req.mask;
-            w.chipMask |= req.chipMask;
+        // (queued write addresses are unique).
+        if (Request *w = queuedWrite(req)) {
+            w->mask |= req.mask;
+            w->chipMask |= req.chipMask;
             // The merged masks can change the write's footprint, so the
             // cached need/probe are stale.
-            w.need = needOf(w);
-            w.probeEpoch = Request::kProbeInvalid;
+            const WordMask old_need = w->need;
+            w->need = needOf(*w);
+            w->probeEpoch = Request::kProbeInvalid;
+            if (!w->need.covers(old_need)) {
+                uncountedHitBanks_[req.loc.rank] |= std::uint64_t{1}
+                                                    << req.loc.bank;
+            }
             ++writeQueueEpoch_;
             return;
         }
         req.need = needOf(req);
-        writeQ_.push_back(req);
-        writeIndex_.emplace(req.addr, writeQ_.size() - 1);
         ++writeQueueEpoch_;
     } else {
         ++stats_.readReqs;
         // Forwarding: a read that matches a queued write is served from
         // the write queue without a DRAM access.
-        if (writeIndex_.count(req.addr)) {
+        if (queuedWrite(req)) {
             ++stats_.forwardedReads;
             finished_.push_back({req.tag, req.coreId, req.addr, now + 1,
                                  1});
             return;
         }
         req.need = needOf(req);
-        readQ_.push_back(req);
     }
 
     // Mask-aware accounting: only requests the (possibly partial) open
     // row can actually serve count as pending hits. The engine's probe
     // also primes the request's cache for the upcoming scheduler scans.
-    Request &queued_req = req.isWrite ? writeQ_.back() : readQ_.back();
-    banks_.onEnqueue(queued_req);
+    RequestQueue &queue = req.isWrite ? writeQ_ : readQ_;
+    banks_.onEnqueue(queue.at(queue.push(req)));
 }
 
-void
-MemoryController::eraseWriteIndex(Addr addr, std::size_t idx)
+Request *
+MemoryController::queuedWrite(const Request &req)
 {
-    writeIndex_.erase(addr);
-    // A mid-queue erase shifts every later entry down one slot; renumber
-    // from the queue itself (deterministic order) instead of walking the
-    // hash map. The queue is at most writeQueueDepth (64) entries, so
-    // this stays cheap.
-    for (std::size_t i = idx; i < writeQ_.size(); ++i)
-        writeIndex_[writeQ_[i].addr] = i;
+    // An address decodes to one bank, so only that bank's writes can
+    // share it.
+    for (Request &w : writeQ_.bank(req.loc.rank, req.loc.bank)) {
+        if (w.addr == req.addr)
+            return &w;
+    }
+    return nullptr;
 }
 
 void
@@ -185,14 +190,16 @@ MemoryController::classify(Request &req, RowProbe probe)
 }
 
 WordMask
-MemoryController::mergedWriteMask(Request &req) const
+MemoryController::mergedWriteMask(Request &req)
 {
     if (req.mergedMaskEpoch == writeQueueEpoch_)
         return req.cachedMergedMask;
     // "PRA masks are ORed to activate partial rows as many as possible to
     //  accommodate all requests targeting the same row" (Section 5.2.1).
+    // Same-row writes share the bank, and its list keeps their age order.
     WordMask merged = WordMask::none();
-    for (const auto &w : writeQ_) {
+    for (const Request &w : writeQ_.bank(req.loc.rank, req.loc.bank)) {
+        ++engineStats_.queueVisits;
         if (!w.loc.sameRow(req.loc))
             continue;
         merged |= scheme_->writeMask(w.mask, w.chipMask);
@@ -276,21 +283,23 @@ MemoryController::issueActivate(Request &req, bool is_write, Cycle now)
         stats_.readActGranularity.record(gran);
     }
 
-    banks_.recountOpenRowMatches(req.loc.rank, req.loc.bank, readQ_,
-                                 writeQ_);
+    // The recount re-probes every request of the bank, so any hit a
+    // footprint-shrinking combine left uncounted is counted again.
+    uncountedHitBanks_[req.loc.rank] &= ~(std::uint64_t{1} << req.loc.bank);
+    engineStats_.queueVisits += banks_.recountOpenRowMatches(
+        req.loc.rank, req.loc.bank, readQ_.bank(req.loc.rank, req.loc.bank),
+        writeQ_.bank(req.loc.rank, req.loc.bank));
 }
 
 void
-MemoryController::issueColumn(std::deque<Request> &queue, std::size_t idx,
+MemoryController::issueColumn(RequestQueue &queue, RequestQueue::Slot slot,
                               bool is_write, Cycle now)
 {
     roundActivity_ = true;
-    Request req = queue[idx];
-    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(idx));
-    if (is_write) {
-        eraseWriteIndex(req.addr, idx);
+    const Request req = queue.at(slot);
+    queue.erase(slot);
+    if (is_write)
         ++writeQueueEpoch_;
-    }
 
     Rank &rank = banks_.rank(req.loc.rank);
     Bank &bank = rank.bank(req.loc.bank);
@@ -436,7 +445,61 @@ MemoryController::issueRfm(unsigned rank_id, Cycle now)
 }
 
 bool
-MemoryController::tryColumnAccess(std::deque<Request> &queue, bool is_write,
+MemoryController::columnCandidate(Request &req, Cycle now)
+{
+    ++engineStats_.queueVisits;
+    // Test-only fault: a saturating age-priority counter inverts, so the
+    // scan skips requests past the age threshold forever. The model
+    // checker's bounded-progress property catches this.
+    if (cfg_->faultStarvesRequest(now, req.arrival))
+        return false;
+    // State-gated rejections (row miss, pending auto-precharge,
+    // unclassified, exhausted hit budget) need no retry bound: the
+    // enabling change is itself a command or arrival, which forces a
+    // round. Time-gated rejections note the exact release cycle.
+    if (banks_.probe(req) != RowProbe::Hit)
+        return false;
+    // Restricted close-page: the classified check keeps ACT + column +
+    // PRE atomic: only the request whose activation opened the row
+    // (classified at ACT time) may use it.
+    return cfg_->policy != PagePolicy::RestrictedClose || req.classified;
+}
+
+bool
+MemoryController::columnBankReady(const Request &req, bool is_write,
+                                  Cycle now)
+{
+    const Bank &bank = banks_.bank(req.loc.rank, req.loc.bank);
+    // Restricted close-page: the auto-precharge is encoded in the
+    // previous column command (RDA/WRA), so the row is already committed
+    // to close — no further hits may ride on it.
+    if (bank.autoPrechargePending())
+        return false;
+    const bool column_ok = is_write ? bank.canWrite(now) : bank.canRead(now);
+    if (!column_ok) {
+        noteWake(bank.earliestColumnAccess(), now);
+        return false;
+    }
+    // DDR4 bank groups: back-to-back column commands to the same group
+    // must honor the long tCCD_L; across groups tCCD(_S) applies at the
+    // channel level.
+    if (!bus_.columnGateOk(req.loc.bank, now)) {
+        noteWake(bus_.columnGateFreeAt(req.loc.bank), now);
+        return false;
+    }
+    const Cycle lat = is_write ? tables_.channel.writeLatency
+                               : tables_.channel.readLatency;
+    if (!bus_.dataBusFree(now + lat, req.loc.rank)) {
+        noteWake(bus_.dataBusFreeAt(req.loc.rank) - lat, now);
+        return false;
+    }
+    // An exhausted hit budget must re-activate; close + prepare handle it.
+    return cfg_->policy != PagePolicy::RelaxedClose ||
+           bank.hitCount() < cfg_->rowHitCap;
+}
+
+bool
+MemoryController::tryColumnAccess(RequestQueue &queue, bool is_write,
                                   Cycle now)
 {
     if (!is_write && bus_.readBlocked(now)) {
@@ -444,71 +507,72 @@ MemoryController::tryColumnAccess(std::deque<Request> &queue, bool is_write,
             noteWake(bus_.readBlockedUntil(), now);
         return false;
     }
+    using Slot = RequestQueue::Slot;
     const std::size_t window = sched_->columnWindow(queue.size());
-    for (std::size_t i = 0; i < window; ++i) {
-        Request &req = queue[i];
-        // Test-only fault: a saturating age-priority counter inverts,
-        // so the scan skips requests past the age threshold forever.
-        // The model checker's bounded-progress property catches this.
-        if (cfg_->faultStarvesRequest(now, req.arrival))
-            continue;
-        Bank &bank = banks_.bank(req.loc.rank, req.loc.bank);
-        // State-gated rejections (row miss, pending auto-precharge,
-        // unclassified, exhausted hit budget) need no retry bound: the
-        // enabling change is itself a command or arrival, which forces a
-        // round. Time-gated rejections note the exact release cycle.
-        if (banks_.probe(req) != RowProbe::Hit)
-            continue;
-        // Restricted close-page: the auto-precharge is encoded in the
-        // previous column command (RDA/WRA), so the row is already
-        // committed to close — no further hits may ride on it. The
-        // classified check keeps ACT + column + PRE atomic: only the
-        // request whose activation opened the row (classified at ACT
-        // time) may use it.
-        if (bank.autoPrechargePending())
-            continue;
-        if (cfg_->policy == PagePolicy::RestrictedClose && !req.classified)
-            continue;
-        const bool column_ok =
-            is_write ? bank.canWrite(now) : bank.canRead(now);
-        if (!column_ok) {
-            noteWake(bank.earliestColumnAccess(), now);
-            continue;
+    if (window < queue.size()) {
+        // A short window (FCFS): the oldest requests, in age order.
+        Slot s = queue.head();
+        for (std::size_t i = 0; i < window; ++i, s = queue.next(s)) {
+            Request &req = queue.at(s);
+            if (columnCandidate(req, now) &&
+                columnBankReady(req, is_write, now)) {
+                classify(req, RowProbe::Hit);
+                issueColumn(queue, s, is_write, now);
+                return true;
+            }
         }
-        // DDR4 bank groups: back-to-back column commands to the same
-        // group must honor the long tCCD_L; across groups tCCD(_S)
-        // applies at the channel level.
-        if (!bus_.columnGateOk(req.loc.bank, now)) {
-            noteWake(bus_.columnGateFreeAt(req.loc.bank), now);
-            continue;
-        }
-        const Cycle lat = is_write ? tables_.channel.writeLatency
-                                   : tables_.channel.readLatency;
-        const Cycle data_start = now + lat;
-        if (!bus_.dataBusFree(data_start, req.loc.rank)) {
-            noteWake(bus_.dataBusFreeAt(req.loc.rank) - lat, now);
-            continue;
-        }
-        if (cfg_->policy == PagePolicy::RelaxedClose &&
-            bank.hitCount() >= cfg_->rowHitCap) {
-            continue;   // Must re-activate; handled by close + prepare.
-        }
-        classify(req, RowProbe::Hit);
-        issueColumn(queue, i, is_write, now);
-        return true;
+        return false;
     }
-    return false;
+    // The whole queue (FR-FCFS): the oldest request that passes every
+    // gate. A row hit needs an open bank whose open-row count is non-zero
+    // (the count never misses a real hit, DESIGN.md §9), so only those
+    // banks are walked. The bank gates are the same for every request of
+    // a bank, so each bank offers its oldest candidate that passes them,
+    // and the oldest offer issues.
+    Slot best = RequestQueue::kEnd;
+    for (unsigned r = 0; r < banks_.numRanks(); ++r) {
+        const std::uint64_t uncounted = uncountedHitBanks_[r];
+        for (std::uint64_t open = banks_.rank(r).openBanks(); open != 0;
+             open &= open - 1) {
+            const auto b = static_cast<unsigned>(std::countr_zero(open));
+            if (banks_.openRowMatches(r, b) == 0 &&
+                !(uncounted >> b & 1u)) {
+                continue;
+            }
+            for (Slot s = queue.bankHead(r, b); s != RequestQueue::kEnd;
+                 s = queue.bankNext(s)) {
+                // Younger than the best offer so far: nothing further
+                // down this bank's list can win.
+                if (best != RequestQueue::kEnd &&
+                    queue.seq(s) > queue.seq(best)) {
+                    break;
+                }
+                Request &req = queue.at(s);
+                if (!columnCandidate(req, now))
+                    continue;
+                if (columnBankReady(req, is_write, now))
+                    best = s;
+                break;
+            }
+        }
+    }
+    if (best == RequestQueue::kEnd)
+        return false;
+    classify(queue.at(best), RowProbe::Hit);
+    issueColumn(queue, best, is_write, now);
+    return true;
 }
 
 bool
-MemoryController::tryPrepare(std::deque<Request> &queue, bool is_write,
-                             Cycle now)
+MemoryController::tryPrepare(RequestQueue &queue, bool is_write, Cycle now)
 {
     // The policy bounds how deep the prepare scan may look past the
     // oldest request (FR-FCFS: a small window; FCFS: the head only).
     const std::size_t window = sched_->prepareWindow(queue.size());
-    for (std::size_t i = 0; i < window; ++i) {
-        Request &req = queue[i];
+    RequestQueue::Slot s = queue.head();
+    for (std::size_t i = 0; i < window; ++i, s = queue.next(s)) {
+        Request &req = queue.at(s);
+        ++engineStats_.queueVisits;
         // Same test-only aged-request fault as the column scan.
         if (cfg_->faultStarvesRequest(now, req.arrival))
             continue;
@@ -730,8 +794,8 @@ MemoryController::runRound(Cycle now, const SchedulerInputs &inputs)
     }
 
     const bool writes_first = sched_->writesFirst(inputs, now);
-    std::deque<Request> &primary = writes_first ? writeQ_ : readQ_;
-    std::deque<Request> &secondary = writes_first ? readQ_ : writeQ_;
+    RequestQueue &primary = writes_first ? writeQ_ : readQ_;
+    RequestQueue &secondary = writes_first ? readQ_ : writeQ_;
     const bool primary_is_write = writes_first;
 
     if (tryColumnAccess(primary, primary_is_write, now))

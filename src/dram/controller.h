@@ -17,8 +17,9 @@
  *    restricted close policies, with a registerOp() seam for future
  *    maintenance operations (PRAC-style alerts, TRR, scrubbing).
  *
- * The controller itself keeps the queues (write combining, read
- * forwarding, merged PRA masks) and the command *mechanisms* — issuing
+ * The controller itself keeps the queues (RequestQueue: per-bank age
+ * lists; write combining, read forwarding, merged PRA masks) and the
+ * command *mechanisms* — issuing
  * ACT/column/PRE/REF with stats, energy events, checker and auditor
  * reporting. The default FR-FCFS configuration is bit-identical to the
  * pre-decomposition monolith (pinned by test_golden_equivalence.cpp).
@@ -48,11 +49,8 @@
 #define PRA_DRAM_CONTROLLER_H
 
 #include <cstdint>
-#include <deque>
-#include <vector>
-
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "dram/bank_engine.h"
@@ -62,6 +60,7 @@
 #include "dram/maintenance_engine.h"
 #include "dram/prac.h"
 #include "dram/request.h"
+#include "dram/request_queue.h"
 #include "dram/sched/scheduler_policy.h"
 #include "dram/timing_tables.h"
 #include "dram/wakeup_heap.h"
@@ -174,6 +173,11 @@ struct EngineStats
     std::uint64_t heapPeak = 0;     //!< Max heap occupancy observed.
     /** Banks the maintenance engine examined (its scans and wake bound). */
     std::uint64_t maintBankVisits = 0;
+    /**
+     * Queued requests examined by the column and prepare scans, the
+     * open-row recount after an ACT and the merged write-mask walk.
+     */
+    std::uint64_t queueVisits = 0;
 };
 
 /** One channel: queues + command mechanisms over the four layers. */
@@ -278,18 +282,32 @@ class MemoryController : private MaintenanceHooks
     WordMask needOf(const Request &req) const;
     void classify(Request &req, RowProbe probe);
 
-    /** Drop @p addr from the write-queue index after erasing entry @p idx. */
-    void eraseWriteIndex(Addr addr, std::size_t idx);
+    /** The queued write to @p req's address, or null (for combining and
+     *  forwarding). */
+    Request *queuedWrite(const Request &req);
 
     /** Queue occupancy snapshot handed to the scheduler policy. */
     SchedulerInputs schedulerInputs() const;
 
-    bool tryColumnAccess(std::deque<Request> &queue, bool is_write,
-                         Cycle now);
-    bool tryPrepare(std::deque<Request> &queue, bool is_write, Cycle now);
+    bool tryColumnAccess(RequestQueue &queue, bool is_write, Cycle now);
+    bool tryPrepare(RequestQueue &queue, bool is_write, Cycle now);
+
+    /**
+     * The column scan's gates on one request: not fault-starved, a row
+     * hit under the cached probe, and (restricted close-page) the
+     * request whose ACT opened the row.
+     */
+    bool columnCandidate(Request &req, Cycle now);
+    /**
+     * The column scan's gates shared by every request of @p req's bank:
+     * no pending auto-precharge, bank column timing, the bank-group
+     * column gate, the data bus and the row-hit cap. Notes the release
+     * cycle of a blocking timing gate.
+     */
+    bool columnBankReady(const Request &req, bool is_write, Cycle now);
 
     void issueActivate(Request &req, bool is_write, Cycle now);
-    void issueColumn(std::deque<Request> &queue, std::size_t idx,
+    void issueColumn(RequestQueue &queue, RequestQueue::Slot slot,
                      bool is_write, Cycle now);
 
     // MaintenanceHooks (decisions live in the MaintenanceEngine).
@@ -304,7 +322,7 @@ class MemoryController : private MaintenanceHooks
      * OR of PRA masks of every queued write to @p req's row, cached per
      * request and invalidated by writeQueueEpoch_.
      */
-    WordMask mergedWriteMask(Request &req) const;
+    WordMask mergedWriteMask(Request &req);
 
     void accountBackground(Cycle now);
 
@@ -367,10 +385,16 @@ class MemoryController : private MaintenanceHooks
      *  (the ctor then registers the "prac_rfm" maintenance op). */
     PracState prac_;
 
-    std::deque<Request> readQ_;
-    std::deque<Request> writeQ_;
-    /** Line address → writeQ_ position, for O(1) combine/forward. */
-    std::unordered_map<Addr, std::size_t> writeIndex_;
+    RequestQueue readQ_;
+    RequestQueue writeQ_;
+    /**
+     * Per rank, bit b: a write combine in bank b shrank a write's
+     * footprint (an empty mask widens to the full row, so OR-ing in a
+     * non-empty one narrows it) since the bank's last ACT, so a row hit
+     * there may be missing from openRowMatches. The FR-FCFS column scan
+     * walks such a bank even when its count reads zero.
+     */
+    std::vector<std::uint64_t> uncountedHitBanks_;
     /** Bumped whenever writeQ_ membership or masks change. */
     std::uint64_t writeQueueEpoch_ = 0;
 

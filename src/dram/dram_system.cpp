@@ -124,6 +124,7 @@ DramSystem::engineStats() const
         agg.heapPushes += e.heapPushes;
         agg.heapPeak = std::max(agg.heapPeak, e.heapPeak);
         agg.maintBankVisits += e.maintBankVisits;
+        agg.queueVisits += e.queueVisits;
     }
     return agg;
 }

@@ -32,13 +32,13 @@ Rank::canActivate(Cycle now, double weight) const
     if (now < nextActAllowed_)
         return false;
     // Drop activations that have left the tFAW window.
-    while (!actWindow_.empty() &&
-           actWindow_.front().first + t_.fawWindow <= now) {
-        actWindow_.pop_front();
+    while (actHead_ < actWindow_.size() &&
+           actWindow_[actHead_].first + t_.fawWindow <= now) {
+        ++actHead_;
     }
     double in_window = 0.0;
-    for (const auto &[cycle, w] : actWindow_)
-        in_window += w;
+    for (std::size_t i = actHead_; i < actWindow_.size(); ++i)
+        in_window += actWindow_[i].second;
     // Conventional DRAM allows four full-row activations per window; the
     // weighted budget reduces to exactly that when all weights are 1.
     return in_window + weight <= 4.0 + 1e-9;
@@ -47,6 +47,12 @@ Rank::canActivate(Cycle now, double weight) const
 void
 Rank::recordActivation(Cycle now, double weight)
 {
+    if (actHead_ > 0 && actWindow_.size() == actWindow_.capacity()) {
+        actWindow_.erase(actWindow_.begin(),
+                         actWindow_.begin() +
+                             static_cast<std::ptrdiff_t>(actHead_));
+        actHead_ = 0;
+    }
     actWindow_.emplace_back(now, weight);
     nextActAllowed_ = now + t_.actGap(weight);
 }
@@ -137,7 +143,8 @@ Rank::fingerprintRankLevel(Fnv1a &h, Cycle now, Cycle horizon) const
     };
     // Only window entries still inside tFAW can gate a future ACT; the
     // expired ones are popped lazily, so skip them for normalization.
-    for (const auto &[cycle, weight] : actWindow_) {
+    for (std::size_t i = actHead_; i < actWindow_.size(); ++i) {
+        const auto &[cycle, weight] = actWindow_[i];
         if (cycle + t_.fawWindow <= now)
             continue;
         delta(cycle + t_.fawWindow);

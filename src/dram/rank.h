@@ -13,8 +13,8 @@
 #ifndef PRA_DRAM_RANK_H
 #define PRA_DRAM_RANK_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.h"
@@ -106,8 +106,9 @@ class Rank
     Cycle
     earliestActWindowExpiry() const
     {
-        return actWindow_.empty() ? ~Cycle{0}
-                                  : actWindow_.front().first + t_.fawWindow;
+        return actHead_ == actWindow_.size()
+                   ? ~Cycle{0}
+                   : actWindow_[actHead_].first + t_.fawWindow;
     }
 
     /** All banks closed and past their tRP so REF may issue. */
@@ -190,8 +191,12 @@ class Rank
     std::vector<Bank> banks_;
     std::uint64_t openBanks_ = 0;   //!< Bit b: bank b has an open row.
 
-    // Weighted tFAW window: (cycle, weight) of recent activations.
-    mutable std::deque<std::pair<Cycle, double>> actWindow_;
+    // Weighted tFAW window: (cycle, weight) of recent activations, live
+    // from actHead_ on. Expired entries are dropped by advancing the
+    // head; recordActivation() compacts them away once the vector is
+    // full, so the window stops allocating once it reaches its peak.
+    mutable std::vector<std::pair<Cycle, double>> actWindow_;
+    mutable std::size_t actHead_ = 0;
     Cycle nextActAllowed_ = 0;   //!< tRRD gate.
 
     Cycle nextRefresh_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "common/hash.h"
 #include "sim/config_io.h"
@@ -25,17 +26,39 @@ dramConfigOf(const SystemConfig &cfg)
     return dram;
 }
 
+/**
+ * System derives the hierarchy's DBI switch from SystemConfig::enableDbi
+ * and its row key from the DRAM mapping. Neither hierarchy field can
+ * enter canonicalConfig, so a caller-set value would be overwritten or
+ * would share a result-cache entry with a run that did not set it.
+ */
+void
+rejectDerivedCacheFields(const SystemConfig &cfg)
+{
+    if (cfg.caches.enableDbi) {
+        throw std::invalid_argument(
+            "SystemConfig::caches.enableDbi is derived from "
+            "SystemConfig::enableDbi; set that instead");
+    }
+    if (cfg.caches.dbiRowKey) {
+        throw std::invalid_argument(
+            "SystemConfig::caches.dbiRowKey is derived from the DRAM "
+            "address mapping and cannot be set");
+    }
+}
+
 } // namespace
 
 System::System(const SystemConfig &cfg,
                std::vector<std::unique_ptr<cpu::Generator>> generators)
     : cfg_(cfg), dram_(dramConfigOf(cfg)), gens_(std::move(generators))
 {
+    rejectDerivedCacheFields(cfg_);
     assert(!gens_.empty() && gens_.size() <= cfg_.caches.numCores);
 
     cache::HierarchyConfig hc = cfg_.caches;
     hc.enableDbi = cfg_.enableDbi;
-    if (hc.enableDbi && !hc.dbiRowKey) {
+    if (hc.enableDbi) {
         // DRAM-row identity of a line under the configured mapping. The
         // mapper is captured by value so the function — and any warm
         // snapshot the hierarchy is exported into — stays valid after
@@ -63,6 +86,7 @@ System::System(const SystemConfig &cfg,
 System::System(const SystemConfig &cfg, const WarmSnapshot &snapshot)
     : cfg_(cfg), dram_(dramConfigOf(cfg))
 {
+    rejectDerivedCacheFields(cfg_);
     // Fork: adopt the warmed hierarchy and the advanced generators by
     // deep copy, then skip warmup. The snapshot's hierarchy embeds its
     // own DBI row-key function (mapper captured by value), which decodes

@@ -30,6 +30,8 @@ struct SystemConfig
 {
     dram::DramConfig dram{};
     cpu::CoreParams core{};
+    /** Its enableDbi and dbiRowKey are System's to derive; System
+     *  throws std::invalid_argument when a caller sets either. */
     cache::HierarchyConfig caches{};
     bool enableDbi = false;
 

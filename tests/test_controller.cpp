@@ -236,6 +236,73 @@ TEST(Controller, PraReadHitOnPartialRowWithinFootprintStillFalse)
     EXPECT_EQ(h.mc->stats().readRowHits, 1u);
 }
 
+TEST(Controller, CombineThatShrinksAFootprintStillServesTheRowHit)
+{
+    // An empty dirty mask means the full row, so OR-ing a non-empty mask
+    // into it narrows the write's footprint: a false hit turns into a
+    // row hit that openRowMatches never counted. The column scan must
+    // still find it instead of closing and re-opening the row.
+    Harness h(&schemeByName("pra"));
+    h.mc->enqueue(h.make(3, 0, 0, true, WordMask::single(0)), 0);
+    while (h.now < 2000 && h.mc->stats().actsForWrites == 0)
+        h.mc->tick(h.now++);
+    ASSERT_EQ(h.mc->stats().actsForWrites, 1u);
+    ASSERT_EQ(h.mc->writeQueueSize(), 1u);   // Still waiting for tRCD.
+    h.mc->enqueue(h.make(3, 0, 1, true, WordMask::none()), h.now);
+    EXPECT_EQ(h.mc->bankEngine().openRowMatches(0, 0), 1u);
+    h.mc->enqueue(h.make(3, 0, 1, true, WordMask::single(0)), h.now);
+    EXPECT_EQ(h.mc->writeQueueSize(), 2u);   // Combined.
+    h.settle();
+    EXPECT_EQ(h.mc->energyCounts().writeLines, 2u);
+    EXPECT_EQ(h.mc->stats().actsForWrites, 1u);
+    EXPECT_EQ(h.mc->stats().writeRowHits, 1u);
+    EXPECT_EQ(h.mc->stats().writeFalseHits, 0u);
+}
+
+TEST(Controller, SpecReadFalseHitKeepsFullRowFallbackAcrossAConflict)
+{
+    // pra_spec_read: a read that false-hits a write's partial row waits
+    // in the secondary queue while the write drain runs, and a write to
+    // another row then closes its bank. Its own re-activation must open
+    // the full row: the false hit was observed when the read was queued,
+    // not by a scan that reached it later.
+    const SchemeModel &spec = schemeByName("pra_spec_read");
+    Harness h(&spec);
+    h.cfg.writeHighWatermark = 2;   // Two queued writes start a drain.
+    h.cfg.writeLowWatermark = 0;
+    h.mc = std::make_unique<MemoryController>(h.cfg, 0);
+
+    // A read column whose predicted mask is partial, and a dirty word
+    // outside the words it needs.
+    Request read;
+    unsigned word = 0;
+    for (unsigned col = 1; col < 64; ++col) {
+        read = h.make(3, 0, col, false);
+        const WordMask need = spec.readNeed(read.addr);
+        if (need.isFull() || spec.readActMask(read.addr).isFull())
+            continue;
+        while (need.test(word))
+            ++word;
+        break;
+    }
+    ASSERT_FALSE(spec.readActMask(read.addr).isFull());
+    ASSERT_LT(word, 8u);
+
+    h.mc->enqueue(h.make(3, 0, 0, true, WordMask::single(word)), 0);
+    h.mc->enqueue(h.make(9, 0, 0, true, WordMask::single(word)), 0);
+    while (h.now < 2000 && h.mc->stats().actsForWrites == 0)
+        h.mc->tick(h.now++);
+    ASSERT_TRUE(h.mc->rank(0).bank(0).isOpen());
+    h.mc->enqueue(read, h.now);
+    h.settle();
+
+    ASSERT_EQ(h.mc->completions().size(), 1u);
+    EXPECT_EQ(h.mc->stats().actsForWrites, 2u);   // Row 3, then row 9.
+    EXPECT_EQ(h.mc->stats().actsForReads, 1u);
+    // The read's only activation opened all eight MAT groups.
+    EXPECT_EQ(h.mc->stats().readActGranularity.count(8), 1u);
+}
+
 TEST(Controller, RestrictedClosePageAutoPrecharges)
 {
     Harness h(&schemeByName("baseline"), PagePolicy::RestrictedClose);

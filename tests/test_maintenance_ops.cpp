@@ -650,7 +650,7 @@ TEST(MaintenanceOps, PracOpRegisteredAfterWarmSnapshotFork)
     EXPECT_EQ(runWorkload(gupsRate(), off, warm).dramStats.rfms, 0u);
 }
 
-TEST(MaintenanceOps, PracRunsBitIdenticalAcrossEngines)
+TEST(MaintenanceOps, PracRunsBitIdenticalUnderForcedRounds)
 {
     // The prac_rfm wake-bound contract is what lets the event engine
     // sleep through alert-free stretches; disagreement with the fully

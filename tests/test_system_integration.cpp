@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <stdexcept>
 #include <string>
 
 #include "sim/experiment.h"
@@ -200,6 +201,27 @@ TEST(SystemIntegration, SingleCoreAloneRunWorks)
     const RunResult r = sys.run();
     ASSERT_EQ(r.ipc.size(), 1u);
     EXPECT_GT(r.ipc[0], 0.0);
+}
+
+TEST(SystemIntegration, RejectsCallerSetDbiSwitchInCacheConfig)
+{
+    // SystemConfig::enableDbi is the one switch; the hierarchy copy is
+    // derived from it and cannot enter the result-cache key.
+    SystemConfig cfg = fastConfig(&schemeByName("pra"));
+    cfg.caches.enableDbi = true;
+    const workloads::Mix mix{"GUPS", {"GUPS"}};
+    EXPECT_THROW(System(cfg, mixGenerators(mix)), std::invalid_argument);
+}
+
+TEST(SystemIntegration, RejectsCallerSetDbiRowKey)
+{
+    // The row key is derived from the DRAM mapping; a caller-set one
+    // would share a result-cache entry with the derived one.
+    SystemConfig cfg = fastConfig(&schemeByName("pra"),
+                                  dram::PagePolicy::RelaxedClose, true);
+    cfg.caches.dbiRowKey = [](Addr addr) { return addr >> 13; };
+    const workloads::Mix mix{"GUPS", {"GUPS"}};
+    EXPECT_THROW(System(cfg, mixGenerators(mix)), std::invalid_argument);
 }
 
 TEST(SystemIntegration, Figure3HistogramPopulated)
