@@ -58,7 +58,8 @@ Cache::access(Addr addr, bool is_write, ByteMask store_bytes)
         way->lastUse = useClock_;
         if (is_write)
             way->dirty |= store_bytes;
-        return {true, std::nullopt};
+        return {true, static_cast<std::uint32_t>(way - ways_.data()),
+                std::nullopt};
     }
 
     ++misses_;
@@ -75,15 +76,12 @@ Cache::access(Addr addr, bool is_write, ByteMask store_bytes)
     }
 
     AccessResult result;
+    result.way = static_cast<std::uint32_t>(victim - ways_.data());
     if (victim->valid) {
         ++evictions_;
         if (!victim->dirty.empty())
             ++dirtyEvictions_;
-        // Reconstruct the victim's address from tag and set.
-        const std::size_t set = setIndex(addr);
-        const Addr victim_addr =
-            (victim->tag * sets_ + set) * params_.lineBytes;
-        result.evicted = EvictedLine{victim_addr, victim->dirty};
+        result.evicted = EvictedLine{wayAddr(result.way), victim->dirty};
     }
 
     victim->valid = true;
@@ -106,11 +104,15 @@ Cache::dirtyMask(Addr addr) const
     return way ? way->dirty : ByteMask::none();
 }
 
-void
+ByteMask
 Cache::cleanLine(Addr addr)
 {
-    if (Way *way = find(lineBase(addr)))
-        way->dirty = ByteMask::none();
+    Way *way = find(lineBase(addr));
+    if (way == nullptr)
+        return ByteMask::none();
+    const ByteMask dirty = way->dirty;
+    way->dirty = ByteMask::none();
+    return dirty;
 }
 
 std::optional<EvictedLine>
@@ -126,11 +128,25 @@ Cache::invalidate(Addr addr)
     return std::nullopt;
 }
 
-void
+std::uint32_t
 Cache::mergeDirty(Addr addr, ByteMask dirty)
 {
-    if (Way *way = find(lineBase(addr)))
-        way->dirty |= dirty;
+    Way *way = find(lineBase(addr));
+    if (way == nullptr)
+        return kNoWay;
+    const bool was_clean = way->dirty.empty();
+    way->dirty |= dirty;
+    return was_clean && !way->dirty.empty()
+               ? static_cast<std::uint32_t>(way - ways_.data())
+               : kNoWay;
+}
+
+std::uint32_t
+Cache::wayOf(Addr addr) const
+{
+    const Way *way = find(lineBase(addr));
+    return way != nullptr ? static_cast<std::uint32_t>(way - ways_.data())
+                          : kNoWay;
 }
 
 std::vector<EvictedLine>
@@ -143,11 +159,9 @@ Cache::dirtyLinesInRange(std::size_t first, std::size_t count) const
     for (std::size_t i = 0; i < count; ++i) {
         const std::size_t idx = (first + i) % ways_.size();
         const Way &way = ways_[idx];
-        if (way.valid && !way.dirty.empty()) {
-            const std::size_t set = idx / params_.ways;
-            const Addr addr = (way.tag * sets_ + set) * params_.lineBytes;
-            lines.push_back({addr, way.dirty});
-        }
+        if (way.valid && !way.dirty.empty())
+            lines.push_back({wayAddr(static_cast<std::uint32_t>(idx)),
+                             way.dirty});
     }
     return lines;
 }
@@ -168,6 +182,8 @@ Cache::auditFingerprint() const
         h.add(way.tag);
         h.add(way.dirty.bits());
         h.add(way.lastUse);
+        h.add(way.link);
+        h.add(way.sharers);
     }
     return h.value();
 }
@@ -176,15 +192,9 @@ std::vector<EvictedLine>
 Cache::collectDirtyLines() const
 {
     std::vector<EvictedLine> lines;
-    for (std::size_t set = 0; set < sets_; ++set) {
-        for (unsigned w = 0; w < params_.ways; ++w) {
-            const Way &way = ways_[set * params_.ways + w];
-            if (way.valid && !way.dirty.empty()) {
-                const Addr addr =
-                    (way.tag * sets_ + set) * params_.lineBytes;
-                lines.push_back({addr, way.dirty});
-            }
-        }
+    for (std::uint32_t w = 0; w < ways_.size(); ++w) {
+        if (ways_[w].valid && !ways_[w].dirty.empty())
+            lines.push_back({wayAddr(w), ways_[w].dirty});
     }
     return lines;
 }

@@ -44,14 +44,28 @@ struct EvictedLine
 struct AccessResult
 {
     bool hit = false;
+    /** Way slot that holds the line after the access. */
+    std::uint32_t way = 0;
     /** Victim displaced by the fill (misses only, when a line existed). */
     std::optional<EvictedLine> evicted;
 };
 
-/** LRU set-associative write-back write-allocate cache (tags only). */
+/**
+ * LRU set-associative write-back write-allocate cache (tags only).
+ *
+ * Besides tag, dirty bytes and LRU stamp, every way slot carries two
+ * owner fields that the cache itself never interprets: a way link and
+ * an 8-bit sharer mask (cache::Hierarchy threads the DBI's row lists
+ * through the L2's links and records L1 sharers in its masks). A fill
+ * leaves them as the victim had them, so the owner can still read the
+ * victim's values after access() returns; the owner rewrites them.
+ */
 class Cache
 {
   public:
+    /** "No way": an empty link, or a line that is not resident. */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t{0};
+
     explicit Cache(const CacheParams &params);
 
     const CacheParams &params() const { return params_; }
@@ -69,8 +83,11 @@ class Cache
     /** Dirty mask of a resident line (empty if absent or clean). */
     ByteMask dirtyMask(Addr addr) const;
 
-    /** Mark a resident line clean (DBI proactive writeback). */
-    void cleanLine(Addr addr);
+    /**
+     * Mark a resident line clean (DBI proactive writeback); returns the
+     * dirty bytes it held (empty if absent or clean).
+     */
+    ByteMask cleanLine(Addr addr);
 
     /**
      * Remove the line, returning its state (back-invalidation from an
@@ -78,8 +95,49 @@ class Cache
      */
     std::optional<EvictedLine> invalidate(Addr addr);
 
-    /** OR extra dirty bytes into a resident line (L1 -> L2 writeback). */
-    void mergeDirty(Addr addr, ByteMask dirty);
+    /**
+     * OR extra dirty bytes into a resident line (L1 -> L2 writeback).
+     * Returns the line's way when the merge turned a clean line dirty,
+     * kNoWay otherwise.
+     */
+    std::uint32_t mergeDirty(Addr addr, ByteMask dirty);
+
+    /** Way slot holding @p addr, or kNoWay when it is not resident. */
+    std::uint32_t wayOf(Addr addr) const;
+
+    // Per-way access for the owner of the link and sharer fields. @p way
+    // must hold a valid line (wayAddr, wayDirty, cleanWay).
+    Addr wayAddr(std::uint32_t way) const
+    {
+        const std::size_t set = way / params_.ways;
+        return (ways_[way].tag * sets_ + set) * params_.lineBytes;
+    }
+    ByteMask wayDirty(std::uint32_t way) const { return ways_[way].dirty; }
+    void cleanWay(std::uint32_t way) { ways_[way].dirty = ByteMask::none(); }
+    std::uint32_t link(std::uint32_t way) const { return ways_[way].link; }
+    void setLink(std::uint32_t way, std::uint32_t next)
+    {
+        ways_[way].link = next;
+    }
+    std::uint8_t sharers(std::uint32_t way) const
+    {
+        return ways_[way].sharers;
+    }
+    void setSharers(std::uint32_t way, std::uint8_t mask)
+    {
+        ways_[way].sharers = mask;
+    }
+
+    /** Calls @p fn(addr) for every resident line, in way-slot order. */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (std::uint32_t w = 0; w < ways_.size(); ++w) {
+            if (ways_[w].valid)
+                fn(wayAddr(w));
+        }
+    }
 
     /** All resident dirty lines (diagnostics / flush). */
     std::vector<EvictedLine> collectDirtyLines() const;
@@ -112,10 +170,14 @@ class Cache
     struct Way
     {
         bool valid = false;
+        std::uint8_t sharers = 0;        //!< Owner field, see the class.
+        std::uint32_t link = kNoWay;     //!< Owner field, see the class.
         std::uint64_t tag = 0;
         ByteMask dirty;
         std::uint64_t lastUse = 0;
     };
+    // The owner fields live in what was padding after `valid`.
+    static_assert(sizeof(Way) == 32);
 
     std::size_t setIndex(Addr addr) const;
     std::uint64_t tagOf(Addr addr) const;

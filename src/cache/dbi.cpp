@@ -1,39 +1,178 @@
 #include "cache/dbi.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 
 #include "common/hash.h"
 
 namespace pra::cache {
 
+DirtyBlockIndex::DirtyBlockIndex(std::function<std::uint64_t(Addr)> row_key,
+                                 Cache &l2)
+    : rowKey_(std::move(row_key)), l2_(&l2)
+{
+    // A quarter of the L2's lines as rows covers the paper geometry's
+    // dirty rows without growing; grow() doubles past 3/4 load.
+    const std::size_t lines = l2.totalWays();
+    rows_.resize(std::bit_ceil(std::max<std::size_t>(16, lines / 4)));
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(rows_.size()));
+}
+
+DirtyBlockIndex::DirtyBlockIndex(const DirtyBlockIndex &other, Cache &l2)
+    : rowKey_(other.rowKey_), l2_(&l2), rows_(other.rows_),
+      used_(other.used_), shift_(other.shift_), tracked_(other.tracked_),
+      proactive_(other.proactive_)
+{
+}
+
+std::size_t
+DirtyBlockIndex::home(std::uint64_t key) const
+{
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+std::size_t
+DirtyBlockIndex::probe(std::uint64_t key) const
+{
+    const std::size_t mask = rows_.size() - 1;
+    std::size_t slot = home(key);
+    while (rows_[slot].head != Cache::kNoWay && rows_[slot].key != key)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+void
+DirtyBlockIndex::erase(std::size_t slot)
+{
+    // Backward-shift deletion: pull later members of the probe run into
+    // the hole whenever their home slot does not lie after it.
+    const std::size_t mask = rows_.size() - 1;
+    std::size_t hole = slot;
+    for (std::size_t i = (slot + 1) & mask; rows_[i].head != Cache::kNoWay;
+         i = (i + 1) & mask) {
+        if (((i - home(rows_[i].key)) & mask) >= ((i - hole) & mask)) {
+            rows_[hole] = rows_[i];
+            hole = i;
+        }
+    }
+    rows_[hole] = Row{};
+    --used_;
+}
+
+void
+DirtyBlockIndex::grow()
+{
+    std::vector<Row> old(rows_.size() * 2);
+    old.swap(rows_);
+    --shift_;
+    for (const Row &row : old) {
+        if (row.head != Cache::kNoWay)
+            rows_[probe(row.key)] = row;
+    }
+}
+
+void
+DirtyBlockIndex::append(std::uint32_t way)
+{
+    const Addr addr = l2_->wayAddr(way);
+    assert(l2_->link(way) == Cache::kNoWay && !listsWay(addr, way));
+    const std::uint64_t key = rowKey_(addr);
+    std::size_t slot = probe(key);
+    if (rows_[slot].head == Cache::kNoWay) {
+        if ((used_ + 1) * 4 > rows_.size() * 3) {
+            grow();
+            slot = probe(key);
+        }
+        rows_[slot] = {key, way, way};
+        ++used_;
+    } else {
+        l2_->setLink(rows_[slot].tail, way);
+        rows_[slot].tail = way;
+    }
+    ++tracked_;
+}
+
+void
+DirtyBlockIndex::takeRow(Addr addr, std::uint32_t victim_way,
+                         std::vector<std::uint32_t> &siblings)
+{
+    siblings.clear();
+    const std::size_t slot = probe(rowKey_(lineBase(addr)));
+    std::uint32_t way = rows_[slot].head;
+    if (way == Cache::kNoWay)
+        return;
+    // The victim's way already holds the filling line, but its link is
+    // still the victim's, so the walk passes through it unchanged.
+    while (way != Cache::kNoWay) {
+        const std::uint32_t next = l2_->link(way);
+        l2_->setLink(way, Cache::kNoWay);
+        if (way != victim_way)
+            siblings.push_back(way);
+        --tracked_;
+        way = next;
+    }
+    proactive_ += siblings.size();
+    erase(slot);
+}
+
+void
+DirtyBlockIndex::clear()
+{
+    for (Row &row : rows_) {
+        for (std::uint32_t way = row.head; way != Cache::kNoWay;) {
+            const std::uint32_t next = l2_->link(way);
+            l2_->setLink(way, Cache::kNoWay);
+            way = next;
+        }
+        row = Row{};
+    }
+    used_ = 0;
+    tracked_ = 0;
+}
+
+bool
+DirtyBlockIndex::listsWay(Addr addr, std::uint32_t way) const
+{
+    const Row &row = rows_[probe(rowKey_(lineBase(addr)))];
+    for (std::uint32_t w = row.head; w != Cache::kNoWay; w = l2_->link(w)) {
+        if (w == way)
+            return true;
+    }
+    return false;
+}
+
 bool
 DirtyBlockIndex::isTracked(Addr addr) const
 {
-    addr = lineBase(addr);
-    const auto it = dirtyByRow_.find(rowKey_(addr));
-    if (it == dirtyByRow_.end())
-        return false;
-    return std::find(it->second.begin(), it->second.end(), addr) !=
-           it->second.end();
+    const std::uint32_t way = l2_->wayOf(addr);
+    return way != Cache::kNoWay && listsWay(addr, way);
+}
+
+std::vector<const DirtyBlockIndex::Row *>
+DirtyBlockIndex::sortedRows() const
+{
+    std::vector<const Row *> rows;
+    rows.reserve(used_);
+    for (const Row &row : rows_) {
+        if (row.head != Cache::kNoWay)
+            rows.push_back(&row);
+    }
+    std::sort(rows.begin(), rows.end(), [](const Row *a, const Row *b) {
+        return a->key < b->key;
+    });
+    return rows;
 }
 
 std::vector<Addr>
 DirtyBlockIndex::trackedAddresses() const
 {
-    // The unordered_map iteration order is an implementation detail;
-    // sort by row key so audits (and fingerprints) are deterministic.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(dirtyByRow_.size());
-    for (const auto &[key, lines] : dirtyByRow_) {   // pra-lint: unordered-ok (keys sorted before use)
-        (void)lines;
-        keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-
     std::vector<Addr> addrs;
-    for (std::uint64_t key : keys) {
-        for (Addr addr : dirtyByRow_.at(key))
-            addrs.push_back(addr);
+    addrs.reserve(tracked_);
+    for (const Row *row : sortedRows()) {
+        for (std::uint32_t w = row->head; w != Cache::kNoWay;
+             w = l2_->link(w))
+            addrs.push_back(l2_->wayAddr(w));
     }
     return addrs;
 }
@@ -41,69 +180,16 @@ DirtyBlockIndex::trackedAddresses() const
 std::uint64_t
 DirtyBlockIndex::auditFingerprint() const
 {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(dirtyByRow_.size());
-    for (const auto &[key, lines] : dirtyByRow_) {   // pra-lint: unordered-ok (keys sorted before use)
-        (void)lines;
-        keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-
     Fnv1a h;
     h.add(tracked_);
     h.add(proactive_);
-    for (std::uint64_t key : keys) {
-        h.add(key);
-        for (Addr addr : dirtyByRow_.at(key))
-            h.add(addr);
+    for (const Row *row : sortedRows()) {
+        h.add(row->key);
+        for (std::uint32_t w = row->head; w != Cache::kNoWay;
+             w = l2_->link(w))
+            h.add(l2_->wayAddr(w));
     }
     return h.value();
-}
-
-void
-DirtyBlockIndex::markDirty(Addr addr)
-{
-    addr = lineBase(addr);
-    auto &lines = dirtyByRow_[rowKey_(addr)];
-    if (std::find(lines.begin(), lines.end(), addr) == lines.end()) {
-        lines.push_back(addr);
-        ++tracked_;
-    }
-}
-
-void
-DirtyBlockIndex::markClean(Addr addr)
-{
-    addr = lineBase(addr);
-    auto it = dirtyByRow_.find(rowKey_(addr));
-    if (it == dirtyByRow_.end())
-        return;
-    auto &lines = it->second;
-    auto pos = std::find(lines.begin(), lines.end(), addr);
-    if (pos != lines.end()) {
-        lines.erase(pos);
-        --tracked_;
-        if (lines.empty())
-            dirtyByRow_.erase(it);
-    }
-}
-
-std::vector<Addr>
-DirtyBlockIndex::siblingsForEviction(Addr addr)
-{
-    addr = lineBase(addr);
-    std::vector<Addr> siblings;
-    auto it = dirtyByRow_.find(rowKey_(addr));
-    if (it == dirtyByRow_.end())
-        return siblings;
-    for (Addr line : it->second) {
-        if (line != addr)
-            siblings.push_back(line);
-    }
-    tracked_ -= it->second.size();
-    proactive_ += siblings.size();
-    dirtyByRow_.erase(it);
-    return siblings;
 }
 
 } // namespace pra::cache

@@ -11,6 +11,7 @@
 #define PRA_CACHE_HIERARCHY_H
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache.h"
@@ -71,21 +72,31 @@ struct HierarchyOutcome
     bool l1Hit = false;
     bool l2Hit = false;
     bool needsMemRead = false;   //!< LLC miss: line must be fetched.
-    std::vector<Writeback> writebacks;
+    /** Lines leaving toward DRAM; valid until the next access(). */
+    std::span<const Writeback> writebacks;
 };
 
-/** Private-L1 / shared-L2 hierarchy. */
+/**
+ * Private-L1 / shared-L2 hierarchy.
+ *
+ * Each L2 line carries an L1-sharer mask (Cache::sharers): core c's bit
+ * (bit c mod 8) is set on every L2 access by core c and the mask is reset
+ * on fill, so it covers every L1 that may hold the line. Back-invalidation
+ * and the DBI's sibling cleaning probe only those L1s.
+ */
 class Hierarchy
 {
   public:
     explicit Hierarchy(const HierarchyConfig &cfg);
 
     /**
-     * Deep copy: every tag array, dirty mask, LRU clock, DBI row-group
-     * table, and statistic counter is duplicated, so the copy behaves
-     * bit-identically to the original under any subsequent access
-     * sequence. This is what lets a warm snapshot (sim::WarmSnapshot) be
-     * forked into many simulations after a single functional warmup.
+     * Deep copy: every tag array (with its DBI links and sharer masks),
+     * dirty mask, LRU clock, DBI row table, and statistic counter is
+     * duplicated, and the copied DBI threads through the copied L2, so
+     * the copy behaves bit-identically to the original under any
+     * subsequent access sequence. This is what lets a warm snapshot
+     * (sim::WarmSnapshot) be forked into many simulations after a single
+     * functional warmup.
      */
     Hierarchy(const Hierarchy &other);
     Hierarchy(Hierarchy &&) = default;
@@ -105,7 +116,7 @@ class Hierarchy
         return static_cast<unsigned>(l1s_.size());
     }
     const Cache &l1(unsigned core) const { return *l1s_[core]; }
-    const Cache &l2() const { return l2_; }
+    const Cache &l2() const { return *l2_; }
     const DirtyBlockIndex *dbi() const { return dbi_.get(); }
 
     /**
@@ -123,16 +134,25 @@ class Hierarchy
     std::uint64_t memReads() const { return memReads_; }
     std::uint64_t memWrites() const { return memWrites_; }
 
+    /** Core @p core's bit in an L2 line's sharer mask. */
+    static std::uint8_t
+    sharerBit(unsigned core)
+    {
+        return static_cast<std::uint8_t>(1u << (core % 8));
+    }
+
   private:
-    void evictFromL2(const EvictedLine &victim,
-                     std::vector<Writeback> &out);
+    /** @p way held @p victim before the fill that displaced it. */
+    void evictFromL2(const EvictedLine &victim, std::uint32_t way);
     void emitWriteback(Addr addr, ByteMask dirty,
                        std::vector<Writeback> &out);
 
     HierarchyConfig cfg_;
     std::vector<std::unique_ptr<Cache>> l1s_;
-    Cache l2_;
+    std::unique_ptr<Cache> l2_;   //!< Heap-held: dbi_ points at it.
     std::unique_ptr<DirtyBlockIndex> dbi_;
+    std::vector<Writeback> writebacks_;   //!< access()'s outcome buffer.
+    std::vector<std::uint32_t> siblings_; //!< DBI row scratch.
 
     Histogram dirtyWords_{kWordsPerLine + 1};
     std::uint64_t memReads_ = 0;

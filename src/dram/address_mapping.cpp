@@ -1,8 +1,16 @@
 #include "dram/address_mapping.h"
 
 #include <cassert>
+#include <ostream>
 
 namespace pra::dram {
+
+void
+PrintTo(AddrMapping mapping, std::ostream *os)
+{
+    *os << (mapping == AddrMapping::RowInterleaved ? "RowInterleaved"
+                                                   : "LineInterleaved");
+}
 
 namespace {
 

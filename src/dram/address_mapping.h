@@ -11,10 +11,15 @@
 #ifndef PRA_DRAM_ADDRESS_MAPPING_H
 #define PRA_DRAM_ADDRESS_MAPPING_H
 
+#include <iosfwd>
+
 #include "dram/config.h"
 #include "dram/request.h"
 
 namespace pra::dram {
+
+/** Prints @p mapping by its enumerator name (gtest parameter values). */
+void PrintTo(AddrMapping mapping, std::ostream *os);
 
 /** Decodes line addresses into channel/rank/bank/row/column. */
 class AddressMapper

@@ -80,16 +80,16 @@ DramSystem::drain(Cycle max_cycles)
     }
 }
 
-std::vector<Completion>
+const std::vector<Completion> &
 DramSystem::drainCompletions()
 {
-    std::vector<Completion> all;
+    drained_.clear();
     for (auto &ch : channels_) {
         auto &done = ch.completions();
-        all.insert(all.end(), done.begin(), done.end());
+        drained_.insert(drained_.end(), done.begin(), done.end());
         done.clear();
     }
-    return all;
+    return drained_;
 }
 
 bool

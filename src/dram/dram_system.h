@@ -63,8 +63,11 @@ class DramSystem
     /** Run until all queues drain (bounded by @p max_cycles). */
     void drain(Cycle max_cycles = 2'000'000);
 
-    /** Collect finished reads from all channels (clears them). */
-    std::vector<Completion> drainCompletions();
+    /**
+     * Collect finished reads from all channels (clears them). The list
+     * is a buffer this object owns, valid until the next call.
+     */
+    const std::vector<Completion> &drainCompletions();
 
     bool busy() const;
 
@@ -98,6 +101,7 @@ class DramSystem
     DramConfig cfg_;
     AddressMapper mapper_;
     std::vector<MemoryController> channels_;
+    std::vector<Completion> drained_;   //!< drainCompletions()'s buffer.
     Cycle now_ = 0;
 };
 

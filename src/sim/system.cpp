@@ -193,9 +193,9 @@ bool
 System::access(unsigned core, const cpu::MemOp &op, std::uint64_t tag)
 {
     const Addr addr = translate(core, op.addr);
-    cache::HierarchyOutcome out =
+    const cache::HierarchyOutcome out =
         hier_->access(core, addr, op.isWrite, op.bytes);
-    pushWritebacks(std::move(out.writebacks));
+    pushWritebacks(out.writebacks);
     if (auditor_)
         auditor_->onCacheAccess();
     if (out.needsMemRead) {
@@ -209,9 +209,9 @@ System::access(unsigned core, const cpu::MemOp &op, std::uint64_t tag)
 }
 
 void
-System::pushWritebacks(std::vector<cache::Writeback> &&wbs)
+System::pushWritebacks(std::span<const cache::Writeback> wbs)
 {
-    for (auto &wb : wbs) {
+    for (const cache::Writeback &wb : wbs) {
         if (auditor_)
             auditor_->onWriteback({wb.addr, wb.dirty, wb.praMask()});
         pendingWb_.push_back(wb);

@@ -227,7 +227,7 @@ class System : public cpu::CoreMemoryPort
     void functionalWarmup();
     void initCores();
     void setupAudit();
-    void pushWritebacks(std::vector<cache::Writeback> &&wbs);
+    void pushWritebacks(std::span<const cache::Writeback> wbs);
     void drainWritebacks();
 
     SystemConfig cfg_;

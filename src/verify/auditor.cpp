@@ -41,7 +41,8 @@ invariantMeta()
     set(Invariant::WritebackMaskExact, "cache.wb.mask-exact",
         "writeback PRA mask == FGD word collapse; line left clean");
     set(Invariant::DirtyInclusion, "cache.dirty-inclusion",
-        "L1 dirty lines resident in L2; DBI tracks exactly L2 dirty");
+        "L1 dirty lines resident in L2, L1 lines covered by L2 sharer "
+        "bits; DBI tracks exactly L2 dirty");
     set(Invariant::EnergyConservation, "power.event-conservation",
         "per-command energy events sum to aggregate PowerModel totals");
     set(Invariant::SkipQuiescent, "fastpath.skip-quiescent",
@@ -631,6 +632,23 @@ Auditor::runCoherenceScan()
 {
     ++scans_;
     const cache::Hierarchy &h = *hier_;
+
+    // Every L1 line is in the inclusive L2, whose copy names the core
+    // among its sharers: back-invalidation and sibling cleaning probe
+    // only those L1s.
+    for (unsigned c = 0; c < h.numCores(); ++c) {
+        h.l1(c).forEachLine([&](Addr addr) {
+            ++stat(Invariant::DirtyInclusion).checks;
+            const std::uint32_t way = h.l2().wayOf(addr);
+            if (way == cache::Cache::kNoWay ||
+                (h.l2().sharers(way) & cache::Hierarchy::sharerBit(c)) == 0) {
+                std::ostringstream os;
+                os << "L1[" << c << "] line 0x" << std::hex << addr
+                   << std::dec << " has no sharer bit in the L2";
+                fail(Invariant::DirtyInclusion, 0, os.str());
+            }
+        });
+    }
 
     // L1 dirty lines must be resident in the inclusive L2. The L1s are
     // small; scan them fully.

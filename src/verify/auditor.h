@@ -24,8 +24,10 @@
  *                                and the line is clean everywhere once
  *                                the writeback is emitted;
  *  - cache.dirty-inclusion       L1 dirty lines are resident in the
- *                                (inclusive) L2; the DBI tracks exactly
- *                                the dirty L2 lines (sampled scan);
+ *                                (inclusive) L2, and every L1 line has
+ *                                its core's sharer bit set there; the
+ *                                DBI tracks exactly the dirty L2 lines
+ *                                (sampled scan);
  *  - power.event-conservation    per-command energy events sum to the
  *                                aggregate PowerModel totals (counts
  *                                exactly; windowed energy within 1 ulp

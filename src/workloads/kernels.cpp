@@ -40,12 +40,14 @@ LinkedList::LinkedList(std::size_t nodes, unsigned gap,
     : gap_(gap), storeFraction_(store_fraction), rng_(seed)
 {
     // Sattolo's algorithm: a single random cycle through all nodes.
-    nextIndex_.resize(nodes);
-    std::iota(nextIndex_.begin(), nextIndex_.end(), 0u);
+    std::vector<std::uint32_t> next(nodes);
+    std::iota(next.begin(), next.end(), 0u);
     for (std::size_t i = nodes - 1; i > 0; --i) {
         const std::size_t j = rng_.below(i);
-        std::swap(nextIndex_[i], nextIndex_[j]);
+        std::swap(next[i], next[j]);
     }
+    nextIndex_ =
+        std::make_shared<const std::vector<std::uint32_t>>(std::move(next));
 }
 
 cpu::MemOp
@@ -69,7 +71,7 @@ LinkedList::next()
     op.addr = node_addr;
     op.serializing = true;
     pendingStore_ = rng_.chance(storeFraction_);
-    current_ = nextIndex_[current_];
+    current_ = (*nextIndex_)[current_];
     return op;
 }
 
@@ -80,12 +82,14 @@ Em3d::Em3d(std::size_t nodes, unsigned gap, std::uint64_t seed)
 {
     // Nodes are visited in shuffled order, as the Olden allocator
     // interleaves E and H nodes across the heap.
-    visitOrder_.resize(nodes_);
-    std::iota(visitOrder_.begin(), visitOrder_.end(), 0u);
+    std::vector<std::uint32_t> order(nodes_);
+    std::iota(order.begin(), order.end(), 0u);
     for (std::size_t i = nodes_ - 1; i > 0; --i) {
         const std::size_t j = rng_.below(i + 1);
-        std::swap(visitOrder_[i], visitOrder_[j]);
+        std::swap(order[i], order[j]);
     }
+    visitOrder_ =
+        std::make_shared<const std::vector<std::uint32_t>>(std::move(order));
 }
 
 cpu::MemOp
@@ -97,7 +101,7 @@ Em3d::next()
     constexpr Addr kNeighborRegion = 512ull << 10;
 
     cpu::MemOp op;
-    const std::uint32_t node = visitOrder_[pos_];
+    const std::uint32_t node = (*visitOrder_)[pos_];
     const Addr node_addr =
         (1ull << 30) + static_cast<Addr>(node) * kLineBytes;
 

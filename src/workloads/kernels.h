@@ -68,8 +68,15 @@ class LinkedList : public cpu::Generator
         return std::make_unique<LinkedList>(*this);
     }
 
+    /** The successor table; a clone shares its source's. */
+    const std::vector<std::uint32_t> &nextIndex() const
+    {
+        return *nextIndex_;
+    }
+
   private:
-    std::vector<std::uint32_t> nextIndex_;  //!< Random cycle permutation.
+    /** Random cycle permutation; never written after construction. */
+    std::shared_ptr<const std::vector<std::uint32_t>> nextIndex_;
     unsigned gap_;
     double storeFraction_;
     Rng rng_;
@@ -97,11 +104,18 @@ class Em3d : public cpu::Generator
         return std::make_unique<Em3d>(*this);
     }
 
+    /** The node visit order; a clone shares its source's. */
+    const std::vector<std::uint32_t> &visitOrder() const
+    {
+        return *visitOrder_;
+    }
+
   private:
     std::size_t nodes_;
     unsigned gap_;
     Rng rng_;
-    std::vector<std::uint32_t> visitOrder_;
+    /** Shuffled node order; never written after construction. */
+    std::shared_ptr<const std::vector<std::uint32_t>> visitOrder_;
     std::size_t pos_ = 0;
     unsigned phase_ = 0;     //!< 0: load neighbor, 1: store node.
     std::uint32_t node_ = 0;

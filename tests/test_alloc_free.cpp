@@ -1,8 +1,10 @@
 /**
  * @file
- * The controller's steady state allocates nothing: once its request
+ * The simulator's steady state allocates nothing: once its request
  * queues have been full, MemoryController::enqueue() and tick() make no
- * heap allocation. This binary replaces the global operator new with a
+ * heap allocation, nor do DramSystem::tick() and drainCompletions();
+ * once the L2 has filled, Hierarchy::access() with the DBI on makes
+ * none either. This binary replaces the global operator new with a
  * counting one, so it is built apart from pra_tests.
  */
 #include <gtest/gtest.h>
@@ -12,9 +14,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "cache/hierarchy.h"
 #include "common/rng.h"
 #include "dram/address_mapping.h"
 #include "dram/controller.h"
+#include "dram/dram_system.h"
 
 namespace {
 
@@ -127,6 +131,84 @@ TEST(AllocFree, SteadyStateEnqueueAndTickAllocateNothing)
             << cell.scheme << " " << static_cast<int>(cell.policy) << " "
             << schedulerKindName(cell.scheduler);
     }
+}
+
+TEST(AllocFree, SteadyStateDramSystemTickAndDrainAllocateNothing)
+{
+    DramConfig cfg;
+    cfg.scheme = &schemeByName("pra");
+    DramSystem sys(cfg);
+    Rng rng(3);
+    std::uint64_t tag = 0;
+    std::uint64_t completions = 0;
+    auto cycle = [&] {
+        if (rng.chance(0.3)) {
+            DecodedAddr loc;
+            loc.channel = static_cast<unsigned>(rng.below(cfg.channels));
+            loc.rank = static_cast<unsigned>(rng.below(cfg.ranksPerChannel));
+            loc.bank = static_cast<unsigned>(rng.below(cfg.banksPerRank));
+            loc.row = static_cast<std::uint32_t>(rng.below(16));
+            loc.col = static_cast<unsigned>(rng.below(8));
+            const Addr addr = sys.mapper().encode(loc);
+            const bool is_write = rng.chance(0.4);
+            if (sys.canAccept(addr, is_write)) {
+                sys.enqueue(addr, is_write,
+                            WordMask::single(
+                                static_cast<unsigned>(rng.below(8))),
+                            0, ++tag);
+            }
+        }
+        sys.tick();
+        completions += sys.drainCompletions().size();
+    };
+    // Warm long enough for every buffer (queues, in-flight reads, the
+    // completion lists) to have reached its peak.
+    while (sys.now() < 50000)
+        cycle();
+    gAllocations = 0;
+    gCounting = true;
+    const std::uint64_t before = completions;
+    while (sys.now() < 100000)
+        cycle();
+    gCounting = false;
+    EXPECT_GT(completions, before + 1000);
+    EXPECT_EQ(gAllocations, 0u);
+}
+
+TEST(AllocFree, HierarchyAccessWithDbiAllocatesNothingOnceL2Filled)
+{
+    cache::HierarchyConfig hc;
+    hc.numCores = 4;
+    hc.l1 = cache::CacheParams{4 * 1024, 4, kLineBytes};
+    hc.l2 = cache::CacheParams{64 * 1024, 8, kLineBytes};
+    hc.enableDbi = true;
+    hc.dbiRowKey = [](Addr addr) { return addr / (8 * 1024); };
+    cache::Hierarchy h(hc);
+    Rng rng(9);
+    std::uint64_t writebacks = 0;
+    auto access = [&] {
+        const unsigned core = static_cast<unsigned>(rng.below(4));
+        const Addr addr = rng.below(4u << 20);
+        const bool is_write = rng.chance(0.4);
+        const ByteMask bytes =
+            is_write ? ByteMask::word(static_cast<unsigned>(rng.below(8)))
+                     : ByteMask::none();
+        writebacks += h.access(core, addr, is_write, bytes).writebacks.size();
+    };
+    // Filled, and long enough for the row table and the writeback buffer
+    // to have reached their peak.
+    const std::uint64_t lines = hc.l2.sizeBytes / kLineBytes;
+    while (h.l2().evictions() < 50 * lines)
+        access();
+    gAllocations = 0;
+    gCounting = true;
+    const std::uint64_t before = h.dbi()->proactiveWritebacks();
+    for (int i = 0; i < 100000; ++i)
+        access();
+    gCounting = false;
+    EXPECT_GT(h.dbi()->proactiveWritebacks(), before);
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_EQ(gAllocations, 0u);
 }
 
 } // namespace

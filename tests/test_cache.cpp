@@ -108,13 +108,44 @@ TEST(Cache, MergeDirtyOnResidentLine)
     EXPECT_TRUE(c.dirtyMask(0xfff00).empty());
 }
 
+TEST(Cache, MergeDirtyReportsCleanToDirtyTransition)
+{
+    Cache c(tiny());
+    const std::uint32_t way = c.access(0x80, false, ByteMask::none()).way;
+    EXPECT_EQ(c.wayOf(0x80), way);
+    EXPECT_EQ(c.wayAddr(way), 0x80u);
+    EXPECT_EQ(c.mergeDirty(0x80, ByteMask::word(1)), way);
+    // Already dirty, an empty merge, or an absent line: no transition.
+    EXPECT_EQ(c.mergeDirty(0x80, ByteMask::word(2)), Cache::kNoWay);
+    c.access(0xc0, false, ByteMask::none());
+    EXPECT_EQ(c.mergeDirty(0xc0, ByteMask::none()), Cache::kNoWay);
+    EXPECT_EQ(c.mergeDirty(0xfff00, ByteMask::word(0)), Cache::kNoWay);
+    EXPECT_EQ(c.wayOf(0xfff00), Cache::kNoWay);
+}
+
 TEST(Cache, CleanLineClearsDirty)
 {
     Cache c(tiny());
     c.access(0x80, true, ByteMask::word(2));
-    c.cleanLine(0x80);
+    EXPECT_EQ(c.cleanLine(0x80).toWordMask(), WordMask::single(2));
     EXPECT_TRUE(c.dirtyMask(0x80).empty());
     EXPECT_TRUE(c.contains(0x80));
+}
+
+TEST(Cache, FillKeepsTheVictimsOwnerFields)
+{
+    Cache c(tiny());
+    // Set 0 of the 4-set, 2-way cache: lines 0x000, 0x100, 0x200.
+    const std::uint32_t way = c.access(0x000, false, ByteMask::none()).way;
+    c.setLink(way, 5);
+    c.setSharers(way, 0b100);
+    c.access(0x100, false, ByteMask::none());
+    const AccessResult r = c.access(0x200, false, ByteMask::none());
+    ASSERT_TRUE(r.evicted.has_value());
+    EXPECT_EQ(r.evicted->addr, 0x000u);
+    EXPECT_EQ(r.way, way);
+    EXPECT_EQ(c.link(way), 5u);
+    EXPECT_EQ(c.sharers(way), 0b100u);
 }
 
 TEST(Cache, CollectDirtyLinesFindsAll)

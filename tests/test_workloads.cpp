@@ -106,6 +106,42 @@ TEST(Em3d, VisitsEveryNodeOncePerSweep)
     EXPECT_EQ(stores.size(), nodes);
 }
 
+/**
+ * A clone shares its source's read-only table instead of copying it,
+ * and from the fork point both produce the same op stream.
+ */
+template <typename Kernel, typename Table>
+void
+expectCloneSharesTable(Kernel &source, Table table)
+{
+    for (int i = 0; i < 1000; ++i)
+        source.next();
+    const std::unique_ptr<cpu::Generator> clone = source.clone();
+    const auto &copy = dynamic_cast<const Kernel &>(*clone);
+    EXPECT_EQ(&(copy.*table)(), &(source.*table)());
+    for (int i = 0; i < 10000; ++i) {
+        const cpu::MemOp a = source.next();
+        const cpu::MemOp b = clone->next();
+        ASSERT_EQ(a.addr, b.addr) << "op " << i;
+        ASSERT_EQ(a.isWrite, b.isWrite) << "op " << i;
+        ASSERT_EQ(a.bytes.bits(), b.bytes.bits()) << "op " << i;
+        ASSERT_EQ(a.gap, b.gap) << "op " << i;
+        ASSERT_EQ(a.serializing, b.serializing) << "op " << i;
+    }
+}
+
+TEST(LinkedList, CloneSharesSuccessorTable)
+{
+    LinkedList g(1u << 12, 20, 0.55, 5);
+    expectCloneSharesTable(g, &LinkedList::nextIndex);
+}
+
+TEST(Em3d, CloneSharesVisitOrder)
+{
+    Em3d g(1u << 12, 14, 6);
+    expectCloneSharesTable(g, &Em3d::visitOrder);
+}
+
 TEST(Synthetic, WriteFractionMatchesKnob)
 {
     SyntheticParams p;

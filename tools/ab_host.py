@@ -11,6 +11,12 @@ change/base, and how many pairs the change won. The claim rule: the
 change wins at least nine tenths of the pairs (ties count for neither)
 and the medians differ by more than the base's interquartile range.
 
+Each run also records the perfbench process's wall seconds and its CPU
+seconds (user + sys of it and its children, from os.wait4's rusage);
+for both, the report gives the quartiles of the per-pair ratio
+change/base. CPU time leaves out time the host spent running other
+work, so on a loaded host its ratios are the narrower ones.
+
     python3 tools/ab_host.py --base HEAD~1 --change HEAD \\
         --workload gups_2ch --pairs 10 --scratch /tmp/ab
     python3 tools/ab_host.py --base HEAD --aa --workload gups_2ch
@@ -29,10 +35,13 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("run_s", "host_ns_per_dram_cycle", "setup_s", "peak_rss_mb")
+PROCESS_TIMES = ("wall_s", "cpu_s")
 CLAIM_WIN_SHARE = 0.9
 
 
@@ -63,19 +72,31 @@ def prepare(sha, scratch):
 
 
 def run_once(tree, env, workload, seed, seconds):
-    proc = subprocess.run(
-        [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", "0"],
-        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True)
+    """One perfbench run: its metrics plus the process's wall and CPU s."""
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, str(tree / "perfbench" / "run.py"),
+             "--workload", workload, "--seed", str(seed), "--seconds",
+             str(seconds), "--trace", "0"],
+            cwd=tree, env=env, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
     if proc.returncode != 0:
         sys.exit(f"ab_host.py: perfbench failed in {tree} ({workload}):\n"
-                 f"{proc.stderr}")
-    result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
+                 f"{stderr}")
+    result = json.loads(stdout.rstrip("\n").split("\n")[-1])
     if result["failed"] != 0 or not result["correct"]:
         sys.exit(f"ab_host.py: perfbench reported a failed run: {result}")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    metrics["wall_s"] = wall
+    metrics["cpu_s"] = usage.ru_utime + usage.ru_stime
+    return metrics
 
 
 def quartiles(values):
@@ -107,6 +128,12 @@ def compare(workload, pairs):
             "claim_holds": (wins >= CLAIM_WIN_SHARE * len(pairs) and
                             bq[1] - cq[1] > bq[2] - bq[0]),
         }
+    for key in PROCESS_TIMES:
+        ratios = [p[1][key] / p[0][key] for p in pairs]
+        q = quartiles(ratios)
+        out[key] = {"ratio_q1": q[0], "ratio_median": q[1],
+                    "ratio_q3": q[2],
+                    "ratio_iqr_over_median": (q[2] - q[0]) / q[1]}
     sims = {k for k in pairs[0][0] if k.startswith("sim_")}
     out["sim_identical"] = all(p[0][k] == p[1][k] for p in pairs
                                for k in sims)
@@ -171,6 +198,12 @@ def main():
                   f"{m['ratio_median']:9.3f} "
                   f"{m['wins']:>3}/{m['pairs']:<2} "
                   f"{'yes' if m['claim_holds'] else 'no'}")
+        for key in PROCESS_TIMES:
+            t = summary[key]
+            print(f"  process {key:16} per-pair ratio q1/med/q3 "
+                  f"{t['ratio_q1']:.4f}/{t['ratio_median']:.4f}/"
+                  f"{t['ratio_q3']:.4f} (IQR/median "
+                  f"{t['ratio_iqr_over_median']:.2%})")
     if args.json:
         args.json.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1
