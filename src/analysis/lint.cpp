@@ -512,8 +512,7 @@ lintUnorderedIteration(const SourceFile &f,
 /**
  * True when @p path names an issue-path translation unit covered by the
  * timing-locality rule: the controller, the bank/rank FSM layers, the
- * bus arbiter, the maintenance engine, the wake-up heap, and every
- * scheduler policy. timing_tables.* (the table builder — the one place
+ * bus arbiter, the maintenance engine, and every scheduler policy. timing_tables.* (the table builder — the one place
  * allowed to read raw Timing fields) and checker.* (the independent
  * oracle, deliberately a second derivation) fall outside the scope by
  * construction: their stems are not in the list and they do not live
@@ -537,8 +536,7 @@ timingLocalityScoped(const std::string &path)
         return true;
     const std::string stem = base.substr(0, dot);
     for (const char *s : {"controller", "bank", "bank_engine",
-                          "bus_arbiter", "rank", "maintenance_engine",
-                          "wakeup_heap"}) {
+                          "bus_arbiter", "rank", "maintenance_engine"}) {
         if (stem == s)
             return true;
     }

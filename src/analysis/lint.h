@@ -18,9 +18,9 @@
  *    sorted before use) with `// pra-lint: unordered-ok`;
  *  - timing-locality: no raw timing-parameter access (word-bounded
  *    `timing`/`Timing`) in issue-path code — the controller, bank/rank
- *    FSMs, bus arbiter, maintenance engine, wake-up heap, and scheduler
- *    policies must derive legality from the precomputed command-pair
- *    gap tables (src/dram/timing_tables.h), keeping the hot path free
+ *    FSMs, bus arbiter, maintenance engine and scheduler policies
+ *    must derive legality from the precomputed command-pair gap
+ *    tables (src/dram/timing_tables.h), keeping the hot path free
  *    of scattered tRCD-style arithmetic that the event engine's wake-up
  *    bounds could silently miss. timing_tables.cpp (the builder) and
  *    checker.* (the independent oracle) are outside the scope; a vetted

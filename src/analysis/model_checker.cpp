@@ -1085,7 +1085,7 @@ class Explorer
      * The wake bound the event engine would publish from a quiet round
      * at @p s: the minimum future cycle over the round's scan-noted
      * bounds, the scheduler's decision flip, and the maintenance
-     * deadline bound, under the heap's stale-bound rule (candidates at
+     * deadline bound, under noteWake's stale-bound rule (candidates at
      * or before now are dropped — which is how faultSuppressWakeTwtr
      * loses the tWTR release).
      *

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/hash.h"
 
@@ -10,7 +12,7 @@ namespace pra::cache {
 
 DirtyBlockIndex::DirtyBlockIndex(std::function<std::uint64_t(Addr)> row_key,
                                  Cache &l2)
-    : rowKey_(std::move(row_key)), l2_(&l2)
+    : rowKey_(std::move(row_key)), l2_(&l2), maxWalk_(l2.totalWays())
 {
     // A quarter of the L2's lines as rows covers the paper geometry's
     // dirty rows without growing; grow() doubles past 3/4 load.
@@ -20,10 +22,57 @@ DirtyBlockIndex::DirtyBlockIndex(std::function<std::uint64_t(Addr)> row_key,
 }
 
 DirtyBlockIndex::DirtyBlockIndex(const DirtyBlockIndex &other, Cache &l2)
-    : rowKey_(other.rowKey_), l2_(&l2), rows_(other.rows_),
+    : rowKey_(other.rowKey_), l2_(&l2), maxWalk_(other.maxWalk_),
+      rows_(other.rows_),
       used_(other.used_), shift_(other.shift_), tracked_(other.tracked_),
       proactive_(other.proactive_)
 {
+}
+
+namespace {
+
+[[noreturn]] void
+linkCycle(const char *what)
+{
+    throw std::logic_error(std::string("DirtyBlockIndex::") + what +
+                           ": a row list is longer than the L2 has lines "
+                           "(a way link closes a cycle)");
+}
+
+} // namespace
+
+template <typename Fn>
+void
+DirtyBlockIndex::walk(std::uint32_t head, const char *what, Fn &&fn) const
+{
+    std::size_t steps = 0;
+    for (std::uint32_t w = head; w != Cache::kNoWay;) {
+        if (steps++ == maxWalk_)
+            linkCycle(what);
+        const std::uint32_t next = l2_->link(w);   // fn may clear it.
+        if (!fn(w))
+            return;
+        w = next;
+    }
+}
+
+template <typename Fn>
+void
+DirtyBlockIndex::unlinkRow(const Row &row, const char *what, Fn &&fn)
+{
+    // Cleared links end a cycle early, on a way seen twice: a sound list
+    // ends on its tail, whose link is empty.
+    if (l2_->link(row.tail) != Cache::kNoWay)
+        linkCycle(what);
+    std::uint32_t last = row.head;
+    walk(row.head, what, [&](std::uint32_t way) {
+        l2_->setLink(way, Cache::kNoWay);
+        fn(way);
+        last = way;
+        return true;
+    });
+    if (last != row.tail)
+        linkCycle(what);
 }
 
 std::size_t
@@ -99,19 +148,15 @@ DirtyBlockIndex::takeRow(Addr addr, std::uint32_t victim_way,
 {
     siblings.clear();
     const std::size_t slot = probe(rowKey_(lineBase(addr)));
-    std::uint32_t way = rows_[slot].head;
-    if (way == Cache::kNoWay)
+    if (rows_[slot].head == Cache::kNoWay)
         return;
     // The victim's way already holds the filling line, but its link is
     // still the victim's, so the walk passes through it unchanged.
-    while (way != Cache::kNoWay) {
-        const std::uint32_t next = l2_->link(way);
-        l2_->setLink(way, Cache::kNoWay);
+    unlinkRow(rows_[slot], "takeRow", [&](std::uint32_t way) {
         if (way != victim_way)
             siblings.push_back(way);
         --tracked_;
-        way = next;
-    }
+    });
     proactive_ += siblings.size();
     erase(slot);
 }
@@ -120,11 +165,8 @@ void
 DirtyBlockIndex::clear()
 {
     for (Row &row : rows_) {
-        for (std::uint32_t way = row.head; way != Cache::kNoWay;) {
-            const std::uint32_t next = l2_->link(way);
-            l2_->setLink(way, Cache::kNoWay);
-            way = next;
-        }
+        if (row.head != Cache::kNoWay)
+            unlinkRow(row, "clear", [](std::uint32_t) {});
         row = Row{};
     }
     used_ = 0;
@@ -134,12 +176,13 @@ DirtyBlockIndex::clear()
 bool
 DirtyBlockIndex::listsWay(Addr addr, std::uint32_t way) const
 {
-    const Row &row = rows_[probe(rowKey_(lineBase(addr)))];
-    for (std::uint32_t w = row.head; w != Cache::kNoWay; w = l2_->link(w)) {
-        if (w == way)
-            return true;
-    }
-    return false;
+    bool found = false;
+    walk(rows_[probe(rowKey_(lineBase(addr)))].head, "listsWay",
+         [&](std::uint32_t w) {
+             found = w == way;
+             return !found;
+         });
+    return found;
 }
 
 bool
@@ -170,9 +213,10 @@ DirtyBlockIndex::trackedAddresses() const
     std::vector<Addr> addrs;
     addrs.reserve(tracked_);
     for (const Row *row : sortedRows()) {
-        for (std::uint32_t w = row->head; w != Cache::kNoWay;
-             w = l2_->link(w))
+        walk(row->head, "trackedAddresses", [&](std::uint32_t w) {
             addrs.push_back(l2_->wayAddr(w));
+            return true;
+        });
     }
     return addrs;
 }
@@ -185,9 +229,10 @@ DirtyBlockIndex::auditFingerprint() const
     h.add(proactive_);
     for (const Row *row : sortedRows()) {
         h.add(row->key);
-        for (std::uint32_t w = row->head; w != Cache::kNoWay;
-             w = l2_->link(w))
+        walk(row->head, "auditFingerprint", [&](std::uint32_t w) {
             h.add(l2_->wayAddr(w));
+            return true;
+        });
     }
     return h.value();
 }

@@ -14,7 +14,9 @@
  * list's head and tail way. The index relies on the hierarchy keeping
  * "tracked <=> dirty in the L2": a line joins its row on its L2
  * clean->dirty transition, a dirty eviction drops its whole row, and a
- * clean eviction never touches the index.
+ * clean eviction never touches the index. No list can be longer than
+ * the L2 has lines, so every walk stops there: a link that closes a
+ * cycle throws std::logic_error instead of hanging the run.
  */
 #ifndef PRA_CACHE_DBI_H
 #define PRA_CACHE_DBI_H
@@ -92,9 +94,18 @@ class DirtyBlockIndex
     void grow();
     /** Occupied slots sorted by row key. */
     std::vector<const Row *> sortedRows() const;
+    /** Calls @p fn(way) along the list from @p head until it returns
+     *  false; throws once the walk passes the L2's line count. */
+    template <typename Fn>
+    void walk(std::uint32_t head, const char *what, Fn &&fn) const;
+    /** Clears every link of @p row's list, calling @p fn(way) on each
+     *  way in order; throws unless the walk ends on the tail. */
+    template <typename Fn>
+    void unlinkRow(const Row &row, const char *what, Fn &&fn);
 
     std::function<std::uint64_t(Addr)> rowKey_;
     Cache *l2_;
+    std::size_t maxWalk_;     //!< The L2's line count: no list is longer.
     std::vector<Row> rows_;   //!< Power-of-two linear-probing table.
     std::size_t used_ = 0;
     unsigned shift_ = 0;      //!< 64 - log2(rows_.size()).

@@ -70,7 +70,7 @@ class BusArbiter
     readBlockedUntil() const
     {
         // Test-only fault: report a stale (cycle-0) bound while
-        // readBlocked() keeps gating. The wake heap's c > now rule
+        // readBlocked() keeps gating. noteWake's c > now rule
         // drops stale bounds, so the event engine loses the tWTR
         // release wakeup — the model checker's wakeup-soundness
         // property must catch this.

@@ -88,8 +88,10 @@ MemoryController::enqueue(Request req, Cycle now)
     // An arrival can enable work immediately (on every enqueue path,
     // including combining and forwarding), so pull the wake target in;
     // tick(now) then runs a full round and republishes.
-    if (now < nextWake_)
+    if (now < nextWake_) {
         nextWake_ = now;
+        wakePublished_ = false;
+    }
 
     // Settle the deferred background window before the queues change:
     // the window was arrival-free by construction, so its per-rank
@@ -349,6 +351,7 @@ MemoryController::issueColumn(RequestQueue &queue, RequestQueue::Slot slot,
         energy_.readWordsDriven += scheme_->readWordsDriven(req.need);
         inflight_.push_back({req.tag, req.coreId, req.addr, finish,
                              finish - req.arrival});
+        nextFinish_ = std::min(nextFinish_, finish);
         stats_.readLatency.record(
             static_cast<double>(finish - req.arrival));
     }
@@ -502,9 +505,10 @@ bool
 MemoryController::tryColumnAccess(RequestQueue &queue, bool is_write,
                                   Cycle now)
 {
+    if (queue.empty())
+        return false;
     if (!is_write && bus_.readBlocked(now)) {
-        if (!queue.empty())
-            noteWake(bus_.readBlockedUntil(), now);
+        noteWake(bus_.readBlockedUntil(), now);
         return false;
     }
     using Slot = RequestQueue::Slot;
@@ -692,8 +696,28 @@ MemoryController::accountBackground(Cycle now)
 }
 
 void
+MemoryController::deliverFinished(Cycle now)
+{
+    nextFinish_ = kNever;
+    for (std::size_t i = 0; i < inflight_.size();) {
+        if (inflight_[i].finish <= now) {
+            finished_.push_back(inflight_[i]);
+            inflight_[i] = inflight_.back();
+            inflight_.pop_back();
+        } else {
+            nextFinish_ = std::min(nextFinish_, inflight_[i].finish);
+            ++i;
+        }
+    }
+}
+
+void
 MemoryController::tick(Cycle now)
 {
+    // Deliveries run whether or not a round does.
+    if (now >= nextFinish_)
+        deliverFinished(now);
+
     if (now < nextWake_ && !replayForce_) {
         // Published-quiet cycle: only background power accrues, and even
         // that is deferred — the next round (or counter read) settles
@@ -703,14 +727,12 @@ MemoryController::tick(Cycle now)
         return;
     }
 
-    // forceRounds runs a full round on cycles the heap declared quiet;
-    // such a round must not act, or the published wake-up set was
+    // forceRounds runs a full round on cycles the engine declared quiet;
+    // such a round must not act, or the published wake cycle was
     // unsound.
     const bool forced_quiet = now < nextWake_;
-    const std::size_t popped = wake_.popDue(now);
-    engineStats_.eventsPopped += popped;
-    if (popped > 0)
-        ++engineStats_.wakeups;
+    if (!forced_quiet && wakePublished_)
+        ++engineStats_.eventsPopped;
 
     roundActivity_ = false;
     scanWake_ = kNever;
@@ -727,12 +749,14 @@ MemoryController::tick(Cycle now)
         audit_->onEventRound(now, nextWake_, roundActivity_);
     if (roundActivity_) {
         // An active round nearly always warrants a next-cycle follow-up
-        // (the command bus is held, completions cascade); re-arming at
-        // now + 1 is sound — it skips nothing — and any bounds the
-        // round's scans noted before its issue are stale anyway. Only a
-        // round that found nothing to do publishes, and its scans have
-        // already computed the exact cycle each blocked gate releases.
+        // (the command bus is held, and the scheduler and the rank power
+        // state must see the post-command state); re-arming at now + 1
+        // is sound — it skips nothing — and any bounds the round's scans
+        // noted before its issue are stale anyway. Only a round that
+        // found nothing to do publishes, and its scans have already
+        // computed the exact cycle each blocked gate releases.
         nextWake_ = now + 1;
+        wakePublished_ = false;
     } else {
         publishWakeups(now, inputs);
     }
@@ -764,23 +788,11 @@ MemoryController::runRound(Cycle now, const SchedulerInputs &inputs)
     // Restricted-close auto-precharges retire without a command slot.
     maint_.stepAutoPrecharge(now);
 
-    // Deliver finished reads.
-    for (std::size_t i = 0; i < inflight_.size();) {
-        if (inflight_[i].finish <= now) {
-            roundActivity_ = true;
-            finished_.push_back(inflight_[i]);
-            inflight_[i] = inflight_.back();
-            inflight_.pop_back();
-        } else {
-            ++i;
-        }
-    }
-
     sched_->onTick(inputs, now);
 
     if (bus_.cmdBusBusy(now)) {
         // Nothing below can issue until the slot frees; the retry bound
-        // is exact (auto-precharges and completions ran above).
+        // is exact (auto-precharges ran above).
         noteWake(bus_.cmdBusFreeAt(), now);
         return;
     }
@@ -816,26 +828,23 @@ MemoryController::runRound(Cycle now, const SchedulerInputs &inputs)
 void
 MemoryController::publishWakeups(Cycle now, const SchedulerInputs &inputs)
 {
-    wake_.clear();
-    std::uint64_t pushes = 0;
+    Cycle next = kNever;
+    std::uint64_t candidates = 0;
     auto consider = [&](Cycle c) {
         if (c > now && c != kNever) {
-            wake_.push(c);
-            ++pushes;
+            next = std::min(next, c);
+            ++candidates;
         }
     };
     // The quiet round that just ran is itself the wake-bound scan: every
     // gate that rejected a candidate noted its exact release cycle in
     // scanWake_ (DESIGN.md §11). Only the layers whose next event needs
-    // no request scan are added here — in-flight completions, the
-    // scheduler's time-driven decision flips, and the maintenance
-    // engine's deadline bound. State-gated rejections (row miss, pending
-    // auto-precharge, still-useful row) need no retry candidate: their
-    // enabling change is itself a command or arrival, which forces a
-    // round.
+    // no request scan are added here — the scheduler's time-driven
+    // decision flips and the maintenance engine's deadline bound.
+    // State-gated rejections (row miss, pending auto-precharge,
+    // still-useful row) need no retry candidate: their enabling change
+    // is itself a command or arrival, which forces a round.
     consider(scanWake_);
-    for (const auto &c : inflight_)
-        consider(c.finish);
     if (!readQ_.empty() || !writeQ_.empty())
         consider(sched_->nextDecisionChangeAt(inputs, now));
     consider(maint_.nextWakeAt(now));
@@ -845,22 +854,22 @@ MemoryController::publishWakeups(Cycle now, const SchedulerInputs &inputs)
     consider(maint_.opWakeBound(now));
     if (maint_.hasOpaqueOps())
         consider(now + 1);
-    engineStats_.heapPushes += pushes;
-    engineStats_.heapPeak =
-        std::max<std::uint64_t>(engineStats_.heapPeak, wake_.size());
-    nextWake_ = wake_.empty() ? kNever : wake_.min();
+    engineStats_.heapPeak = std::max(engineStats_.heapPeak, candidates);
+    nextWake_ = next;
+    wakePublished_ = true;
 }
 
 Cycle
 MemoryController::nextEventCycle(Cycle now) const
 {
-    // The heap minimum was published by the last round and every later
+    // The wake cycle was published by the last round and every later
     // enqueue ran through tick(), so it is exact for the caller's
-    // (no-arrivals) contract — no rescan needed. The invariant
-    // nextWake_ > last-ticked-cycle holds once ticking has started;
-    // before the first tick nothing is published, and now + 1 skips
-    // nothing.
-    return nextWake_ > now ? nextWake_ : now + 1;
+    // (no-arrivals) contract — no rescan needed; deliveries keep their
+    // own bound. The invariant next > last-ticked-cycle holds once
+    // ticking has started; before the first tick nothing is published,
+    // and now + 1 skips nothing.
+    const Cycle next = std::min(nextWake_, nextFinish_);
+    return next > now ? next : now + 1;
 }
 
 void

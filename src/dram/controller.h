@@ -63,7 +63,6 @@
 #include "dram/request_queue.h"
 #include "dram/sched/scheduler_policy.h"
 #include "dram/timing_tables.h"
-#include "dram/wakeup_heap.h"
 #include "power/power_model.h"
 
 namespace pra::verify {
@@ -166,11 +165,12 @@ forEachField(Visit &&v, Self &...s)
 struct EngineStats
 {
     std::uint64_t rounds = 0;       //!< Scheduling rounds executed.
-    std::uint64_t skippedTicks = 0; //!< Ticks short-circuited by the heap.
-    std::uint64_t wakeups = 0;      //!< Rounds triggered by a due event.
-    std::uint64_t eventsPopped = 0; //!< Heap entries consumed.
-    std::uint64_t heapPushes = 0;   //!< Candidates published.
-    std::uint64_t heapPeak = 0;     //!< Max heap occupancy observed.
+    std::uint64_t skippedTicks = 0; //!< Ticks that ran no round.
+    // Heap-era names (the benchmark's metrics use them); there is no heap.
+    /** Rounds started by a due published wake, not an arrival or a
+     *  follow-up. */
+    std::uint64_t eventsPopped = 0;
+    std::uint64_t heapPeak = 0;     //!< Most candidates one publish produced.
     /** Banks the maintenance engine examined (its scans and wake bound). */
     std::uint64_t maintBankVisits = 0;
     /**
@@ -193,9 +193,10 @@ class MemoryController : private MaintenanceHooks
     void enqueue(Request req, Cycle now);
 
     /**
-     * Advance one DRAM cycle (DESIGN.md §11). A call before the
-     * published next-wake cycle only accounts background power; rounds
-     * run exactly at heap-published wake-up cycles (and whenever
+     * Advance one DRAM cycle (DESIGN.md §11). Every call first delivers
+     * the in-flight reads that finish by @p now. A call before the
+     * published next-wake cycle does nothing else but defer background
+     * power; rounds run exactly at published wake cycles (and whenever
      * enqueue() lowers the wake target). Under DramConfig::forceRounds
      * every call runs a full round.
      */
@@ -205,9 +206,10 @@ class MemoryController : private MaintenanceHooks
      * Cycle-skip support: the next cycle (> @p now) at which tick()
      * could do anything beyond background power accounting — issue a
      * command, auto-precharge, or deliver a completion — assuming no
-     * new request is enqueued in between: the heap minimum the last
-     * round published, returned without a scan. Before the first tick
-     * nothing is published yet, and the bound is @p now + 1.
+     * new request is enqueued in between: the earlier of the published
+     * wake cycle and the next in-flight finish, returned without a scan.
+     * Before the first tick nothing is published yet, and the bound is
+     * @p now + 1.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -334,25 +336,29 @@ class MemoryController : private MaintenanceHooks
      */
     void settleBackground();
 
+    /** Move the in-flight reads finished by @p now to finished_ (no
+     *  round: a delivery changes no bank, bus, queue or policy state). */
+    void deliverFinished(Cycle now);
+
     // --- Event engine (DESIGN.md §11) --------------------------------------
 
     /** One full scheduling round over the queue snapshot @p inputs. */
     void runRound(Cycle now, const SchedulerInputs &inputs);
 
     /**
-     * Rebuild the wake-up heap and set nextWake_ to its minimum (kNever
-     * when empty). Called after every quiet round; the invariant
+     * Set nextWake_ to the minimum of the wake candidates (kNever when
+     * there are none). Called after every quiet round; the invariant
      * nextWake_ > now holds on return. The candidates are exact, not
      * conservative: the quiet round's failing scans record the release
      * cycle of each gate that blocked a scanned request (scanWake_), and
-     * the layers publish their own next decisions — in-flight read
-     * finishes, the maintenance engine's nextWakeAt() (refresh
-     * deadlines, blocked closes, auto-precharge retirements), and the
-     * scheduler's time-driven selection flip. Everything else that could
-     * enable work is itself an event (an enqueue lowers nextWake_; a
-     * command can only issue inside a round). @p inputs is the quiet
-     * round's queue snapshot, still current because the round issued
-     * nothing.
+     * the layers publish their own next decisions — the maintenance
+     * engine's nextWakeAt() (refresh deadlines, blocked closes,
+     * auto-precharge retirements) and the scheduler's time-driven
+     * selection flip. Everything else that could enable work is itself
+     * an event (an enqueue lowers nextWake_; a command can only issue
+     * inside a round). In-flight finishes are not candidates: they have
+     * their own bound, nextFinish_. @p inputs is the quiet round's queue
+     * snapshot, still current because the round issued nothing.
      */
     void publishWakeups(Cycle now, const SchedulerInputs &inputs);
 
@@ -409,8 +415,9 @@ class MemoryController : private MaintenanceHooks
     // Event engine state (DESIGN.md §11).
     TimingTables tables_;     //!< Precomputed command-pair gaps.
     bool replayForce_;        //!< DramConfig::forceRounds: round every tick.
-    Cycle nextWake_ = 0;      //!< Heap minimum; 0 forces the first round.
-    WakeupHeap wake_;
+    Cycle nextWake_ = 0;      //!< Next round's cycle; 0 forces the first.
+    bool wakePublished_ = false; //!< nextWake_ came from publishWakeups.
+    Cycle nextFinish_ = kNever; //!< Earliest in-flight read finish.
     EngineStats engineStats_;
     bool roundActivity_ = false; //!< Set when the current round acts.
     Cycle scanWake_ = kNever; //!< Min gate release noted by this round.

@@ -119,9 +119,7 @@ DramSystem::engineStats() const
         const EngineStats e = ch.engineStats();
         agg.rounds += e.rounds;
         agg.skippedTicks += e.skippedTicks;
-        agg.wakeups += e.wakeups;
         agg.eventsPopped += e.eventsPopped;
-        agg.heapPushes += e.heapPushes;
         agg.heapPeak = std::max(agg.heapPeak, e.heapPeak);
         agg.maintBankVisits += e.maintBankVisits;
         agg.queueVisits += e.queueVisits;

@@ -50,7 +50,7 @@ invariantMeta()
     set(Invariant::ForkFingerprint, "fastpath.fork-fingerprint",
         "warm-snapshot forks replicate hierarchy state bit-exactly");
     set(Invariant::EventWakeSound, "fastpath.event-wake-sound",
-        "heap-declared-quiet rounds do nothing when forced to run");
+        "rounds before the published wake do nothing when forced to run");
     set(Invariant::PracConservation, "dram.prac.count-conservation",
         "PRAC tracked-count sum == ACTs counted - counts mitigated");
     return meta;

@@ -38,9 +38,9 @@
  *  - fastpath.fork-fingerprint   warm-snapshot exports/forks replicate
  *                                the hierarchy state bit-exactly
  *                                (PRA_AUDIT_REPLAY=1);
- *  - fastpath.event-wake-sound   scheduling rounds the event engine's
- *                                wake-up heap declared quiet do nothing
- *                                when forced to run anyway
+ *  - fastpath.event-wake-sound   scheduling rounds before the event
+ *                                engine's published wake cycle do
+ *                                nothing when forced to run anyway
  *                                (PRA_AUDIT_REPLAY=1);
  *  - dram.prac.count-conservation
  *                                the controller's PRAC activation

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "cache/hierarchy.h"
@@ -436,6 +437,72 @@ TEST(DbiDifferential, CopyConstructedForkMatchesReferenceModel)
     expectSameStream(fork, ref_fork, fork_rng, 10000);
     EXPECT_EQ(fork.auditFingerprint(), h.auditFingerprint());
     expectSameFlush(fork, ref_fork);
+}
+
+/**
+ * A DBI over a bare 32-line L2 whose row 0 lists lines 0, 1 and 2, with
+ * line @p from's way linked back to line 0's: a cycle no correct update
+ * makes (from = 2 closes it at the tail, from = 1 before it). Line 3
+ * (row 0) is resident but not listed.
+ */
+struct CyclicRow
+{
+    Cache l2{CacheParams{32 * kLineBytes, 2, kLineBytes}};
+    DirtyBlockIndex dbi{rowOf, l2};
+    std::uint32_t ways[4] = {};
+
+    explicit CyclicRow(unsigned from)
+    {
+        for (unsigned l = 0; l < 4; ++l)
+            ways[l] = l2.access(line(l), true, ByteMask::word(0)).way;
+        for (unsigned l = 0; l < 3; ++l)
+            dbi.append(ways[l]);
+        l2.setLink(ways[from], ways[0]);
+    }
+};
+
+TEST(Dbi, LinkCycleFailsFastInEveryWalk)
+{
+    std::vector<std::uint32_t> siblings;
+    for (unsigned from : {1u, 2u}) {
+        SCOPED_TRACE(from);
+        {
+            CyclicRow c(from);
+            EXPECT_THROW(c.dbi.takeRow(line(0), c.ways[0], siblings),
+                         std::logic_error);
+        }
+        {
+            CyclicRow c(from);
+            EXPECT_THROW(c.dbi.listsWay(line(3), c.ways[3]),
+                         std::logic_error);
+        }
+        {
+            CyclicRow c(from);
+            EXPECT_THROW(c.dbi.isTracked(line(3)), std::logic_error);
+        }
+        {
+            CyclicRow c(from);
+            EXPECT_THROW(c.dbi.trackedAddresses(), std::logic_error);
+        }
+        {
+            CyclicRow c(from);
+            EXPECT_THROW(c.dbi.auditFingerprint(), std::logic_error);
+        }
+        {
+            CyclicRow c(from);
+            EXPECT_THROW(c.dbi.clear(), std::logic_error);
+        }
+    }
+    // With the tail's link empty again the row walks cleanly.
+    CyclicRow c(2);
+    c.l2.setLink(c.ways[2], Cache::kNoWay);
+    EXPECT_FALSE(c.dbi.isTracked(line(3)));
+    EXPECT_EQ(c.dbi.trackedAddresses(),
+              (std::vector<Addr>{line(0), line(1), line(2)}));
+    c.dbi.takeRow(line(0), c.ways[0], siblings);
+    EXPECT_EQ(siblings,
+              (std::vector<std::uint32_t>{c.ways[1], c.ways[2]}));
+    EXPECT_EQ(c.dbi.trackedLines(), 0u);
 }
 
 } // namespace

@@ -13,13 +13,16 @@
  * the cycle-exact completion stream, and the checker verdict must match
  * field-for-field. Deliberate protocol faults (ignored tWTR / tCCD_L)
  * must produce the *same* violation lists in both modes — the event
- * engine may not skip past a bug's window. Finally the engine counters
+ * engine may not skip past a bug's window. Two scripted scenarios pin
+ * the side effects of the round after a command (write-drain hysteresis,
+ * the wake of a refreshed powered-down rank). Finally the engine counters
  * prove the event runs actually exercised the fast path (ticks skipped,
- * wake-ups popped) and the forced runs skipped nothing.
+ * rounds started by due wakes) and the forced runs skipped nothing.
  */
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -83,31 +86,127 @@ statsFingerprint(const ControllerStats &s, const power::EnergyCounts &e)
 }
 
 /**
- * The golden canned mix (test_golden_equivalence.cpp), instrumented to
- * also fold the completion stream as it is delivered. The LCG arrival
+ * One standalone single-channel controller with the checker on, driven
+ * cycle by cycle, folding its completion stream as it is delivered.
+ * Every run is capped at a cycle budget the caller derives from the
+ * cell: a healthy run ends far inside it, while a lost wake or delivery
+ * bound leaves the controller busy for ever, and the run then fails at
+ * the budget with the cell label instead of spinning.
+ */
+class Harness
+{
+  public:
+    Harness(DramConfig cfg, std::string label)
+        : cfg_(withOneCheckedChannel(cfg)), label_(std::move(label)),
+          mapper_(cfg_), mc_(cfg_, 0)
+    {
+    }
+
+    MemoryController &mc() { return mc_; }
+    Cycle now() const { return now_; }
+
+    /** False once the run has reached @p budget (and failed). */
+    bool
+    withinBudget(Cycle budget)
+    {
+        if (now_ < budget)
+            return true;
+        if (!overBudget_) {
+            ADD_FAILURE() << label_ << ": still running at the " << budget
+                          << "-cycle budget";
+            overBudget_ = true;
+        }
+        return false;
+    }
+
+    void
+    tick()
+    {
+        mc_.tick(now_++);
+        for (const Completion &c : mc_.completions()) {
+            completions_.add(c.tag);
+            completions_.add(c.addr);
+            completions_.add(c.finish);
+            completions_.add(c.latency);
+        }
+        mc_.completions().clear();
+    }
+
+    /** Enqueue a request at @p loc (writes dirty @p mask); false if full. */
+    bool
+    enqueue(const DecodedAddr &loc, bool is_write,
+            WordMask mask = WordMask::single(0))
+    {
+        if (!mc_.canAccept(is_write))
+            return false;
+        Request req;
+        req.addr = mapper_.encode(loc);
+        req.loc = loc;
+        req.isWrite = is_write;
+        req.tag = nextTag_++;
+        if (is_write)
+            req.mask = mask;
+        mc_.enqueue(req, now_);
+        return true;
+    }
+
+    /** Tick through @p idle cycles and then until the queues drain. */
+    void
+    drain(Cycle idle, Cycle budget)
+    {
+        const Cycle idle_end = now_ + idle;
+        while ((now_ < idle_end || mc_.busy()) && withinBudget(budget))
+            tick();
+    }
+
+    Outcome
+    outcome()
+    {
+        Outcome out;
+        power::EnergyCounts energy = mc_.energyCounts();
+        energy.elapsedCycles = now_;
+        out.statsFp = statsFingerprint(mc_.stats(), energy);
+        out.completionsFp = completions_.value();
+        out.violations = mc_.checker()->violations();
+        out.engine = mc_.engineStats();
+        out.end = now_;
+        return out;
+    }
+
+  private:
+    static DramConfig
+    withOneCheckedChannel(DramConfig cfg)
+    {
+        cfg.channels = 1;
+        cfg.enableChecker = true;
+        return cfg;
+    }
+
+    DramConfig cfg_;
+    std::string label_;
+    AddressMapper mapper_;
+    MemoryController mc_;
+    Fnv1a completions_;
+    Cycle now_ = 0;
+    std::uint64_t nextTag_ = 1;
+    bool overBudget_ = false;
+};
+
+/**
+ * The golden canned mix (test_golden_equivalence.cpp). The LCG arrival
  * pattern includes idle gaps long enough for power-down entry and a
  * two-tREFI idle tail — exactly the stretches the event engine skips.
+ * Its budget: every arrival gap at its longest (99 cycles) plus twice a
+ * row cycle and a refresh per request, the idle tail and one more
+ * tREFI. Strict FCFS, the slowest policy, ends at about 60% of it.
  */
 Outcome
-runCanned(DramConfig cfg)
+runCanned(const DramConfig &cfg, const std::string &label)
 {
-    cfg.channels = 1;
-    cfg.enableChecker = true;
-    AddressMapper mapper(cfg);
-    MemoryController mc(cfg, 0);
-
-    Fnv1a completions;
-    Cycle now = 0;
-    auto tickOnce = [&] {
-        mc.tick(now++);
-        for (const Completion &c : mc.completions()) {
-            completions.add(c.tag);
-            completions.add(c.addr);
-            completions.add(c.finish);
-            completions.add(c.latency);
-        }
-        mc.completions().clear();
-    };
+    Harness h(cfg, label);
+    const Timing &t = cfg.timing;
+    const Cycle budget =
+        600 * (99 + 2 * Cycle{t.tRc + t.tRfc}) + 3 * Cycle{t.tRefi};
 
     std::uint64_t state = 0x9e3779b97f4a7c15ull;
     auto next = [&state] {
@@ -116,8 +215,7 @@ runCanned(DramConfig cfg)
     };
 
     unsigned issued = 0;
-    std::uint64_t tag = 1;
-    while (issued < 600) {
+    while (issued < 600 && h.withinBudget(budget)) {
         const std::uint64_t r = next();
         const bool is_write = r % 3 != 0;
         DecodedAddr loc;
@@ -126,41 +224,20 @@ runCanned(DramConfig cfg)
         loc.row = static_cast<std::uint32_t>((r >> 12) % 48);
         loc.col =
             static_cast<unsigned>((r >> 20) % std::min(32u, cfg.linesPerRow));
-        Request req;
-        req.addr = mapper.encode(loc);
-        req.loc = loc;
-        req.isWrite = is_write;
-        req.tag = tag++;
-        if (is_write) {
-            WordMask m = WordMask::single((r >> 28) % 8);
-            if (r & 1)
-                m |= WordMask::single((r >> 33) % 8);
-            if (r & 2)
-                m |= WordMask::single((r >> 38) % 8);
-            req.mask = m;
-        }
-        if (mc.canAccept(is_write)) {
-            mc.enqueue(req, now);
+        WordMask m = WordMask::single((r >> 28) % 8);
+        if (r & 1)
+            m |= WordMask::single((r >> 33) % 8);
+        if (r & 2)
+            m |= WordMask::single((r >> 38) % 8);
+        if (h.enqueue(loc, is_write, m))
             ++issued;
-        }
         const Cycle gap = (r % 7 == 0) ? 40 + (r >> 40) % 60 : 1 + r % 3;
-        const Cycle until = now + gap;
-        while (now < until)
-            tickOnce();
+        const Cycle until = h.now() + gap;
+        while (h.now() < until)
+            h.tick();
     }
-    const Cycle idle_end = now + 2 * cfg.timing.tRefi;
-    while (now < idle_end || mc.busy())
-        tickOnce();
-
-    Outcome out;
-    power::EnergyCounts energy = mc.energyCounts();
-    energy.elapsedCycles = now;
-    out.statsFp = statsFingerprint(mc.stats(), energy);
-    out.completionsFp = completions.value();
-    out.violations = mc.checker()->violations();
-    out.engine = mc.engineStats();
-    out.end = now;
-    return out;
+    h.drain(2 * Cycle{t.tRefi}, budget);
+    return h.outcome();
 }
 
 DramConfig
@@ -170,13 +247,18 @@ withForcedRounds(DramConfig cfg, bool force)
     return cfg;
 }
 
+using Scenario = Outcome (*)(const DramConfig &, const std::string &);
+
 /** Run one cell in both modes and require identical behaviour. */
 void
 expectEnginesAgree(const DramConfig &cfg, const std::string &label,
-                   bool expect_violations = false)
+                   bool expect_violations = false,
+                   Scenario scenario = runCanned)
 {
-    const Outcome forced = runCanned(withForcedRounds(cfg, true));
-    const Outcome event = runCanned(withForcedRounds(cfg, false));
+    const Outcome forced =
+        scenario(withForcedRounds(cfg, true), label + " (forced)");
+    const Outcome event =
+        scenario(withForcedRounds(cfg, false), label + " (event)");
 
     EXPECT_EQ(forced.statsFp, event.statsFp) << label;
     EXPECT_EQ(forced.completionsFp, event.completionsFp) << label;
@@ -190,11 +272,10 @@ expectEnginesAgree(const DramConfig &cfg, const std::string &label,
     // The forced run is the per-cycle reference: it skipped nothing and
     // ran a round on every cycle. The comparison is only meaningful if
     // the event run actually took the fast path: most ticks skipped,
-    // wake-ups popped from the heap.
+    // rounds started by due published wakes.
     EXPECT_EQ(forced.engine.skippedTicks, 0u) << label;
     EXPECT_EQ(forced.engine.rounds, forced.end) << label;
     EXPECT_GT(event.engine.skippedTicks, 0u) << label;
-    EXPECT_GT(event.engine.wakeups, 0u) << label;
     EXPECT_GT(event.engine.eventsPopped, 0u) << label;
     EXPECT_GT(event.engine.heapPeak, 0u) << label;
     // Every event-mode tick either skips or runs a round, so the two
@@ -264,6 +345,114 @@ TEST(EngineDifferential, FaultWindowsAreNotSkippedPast)
         cfg.faultIgnoreTccdL = true;
         expectEnginesAgree(cfg, "fault-ignore-tccdl", true);
     }
+}
+
+/**
+ * FR-FCFS write-drain hysteresis at its low watermark. The write queue is
+ * filled to the high watermark behind eight row-miss reads, so the
+ * drain runs and the reads wait. When a write issue takes the queue to
+ * the low watermark, one more write arrives 1, 2 or 3 cycles later. The
+ * round after that issue has to see the post-issue queue size, and
+ * only on its own cycle: with the arrival one cycle later the drain
+ * stays on (the queue never rests at the low watermark), with a later
+ * arrival it ends. Either way the waiting reads see the difference.
+ */
+Outcome
+runDrainEdge(const DramConfig &cfg, const std::string &label)
+{
+    Harness h(cfg, label);
+    const unsigned low = cfg.writeLowWatermark;
+    // Six edges, each a 48-write drain and 1000 idle cycles: a few
+    // thousand cycles apiece, far inside two tREFI.
+    const Cycle budget = 6 * 2 * Cycle{cfg.timing.tRefi};
+    std::uint32_t row = 0;
+    auto place = [&](unsigned i) {
+        DecodedAddr loc;
+        loc.rank = i % cfg.ranksPerChannel;
+        loc.bank = (i / cfg.ranksPerChannel) % cfg.banksPerRank;
+        loc.row = 1 + row++ % 4000;
+        return loc;
+    };
+    unsigned edges = 0;
+    for (Cycle delay = 1; delay <= 6; ++delay) {
+        for (unsigned i = 0; h.mc().writeQueueSize() < cfg.writeHighWatermark;
+             ++i)
+            h.enqueue(place(i), true);
+        for (unsigned i = 0; i < 8; ++i)
+            h.enqueue(place(i), false);
+        std::size_t before = h.mc().writeQueueSize();
+        while (h.withinBudget(budget)) {
+            h.tick();
+            const std::size_t after = h.mc().writeQueueSize();
+            if (before == low + 1 && after == low)
+                break;
+            before = after;
+        }
+        ++edges;
+        // The issue ran on cycle now() - 1; arrive at its cycle + delay
+        // (delays 4..6 repeat 1..3 with the queues in a new state).
+        const Cycle arrive = h.now() - 1 + (delay - 1) % 3 + 1;
+        while (h.now() < arrive)
+            h.tick();
+        h.enqueue(place(edges), true);
+        h.drain(1000, budget);
+    }
+    EXPECT_EQ(edges, 6u) << label;
+    return h.outcome();
+}
+
+/**
+ * A refresh falls due on a powered-down idle rank. The round after the
+ * REF wakes the rank (it is no longer idle while refreshing), so once the
+ * refresh ends the rank spends the power-down threshold in precharge
+ * standby before it powers down again. Requests arriving just after
+ * each refresh see whether the rank was woken.
+ */
+Outcome
+runIdleRefresh(const DramConfig &cfg, const std::string &label)
+{
+    Harness h(cfg, label);
+    const Timing &t = cfg.timing;
+    // Four idle stretches of about one tREFI plus the final one.
+    const Cycle budget = 8 * Cycle{t.tRefi};
+    for (unsigned round = 0; round < 4; ++round) {
+        DecodedAddr loc;
+        loc.rank = round % cfg.ranksPerChannel;
+        loc.row = 7 + round;
+        h.enqueue(loc, round % 2 != 0);
+        h.drain(0, budget);
+        // Idle past the next refresh of both ranks, then arrive inside
+        // the power-down threshold that follows the refresh.
+        const Cycle wake = h.now() + t.tRefi + t.tRfc + 2;
+        while (h.now() < wake && h.withinBudget(budget))
+            h.tick();
+    }
+    h.drain(t.tRefi, budget);
+    EXPECT_GT(h.mc().stats().refreshes, 0u) << label;
+    EXPECT_GT(h.mc().energyCounts().powerDownCycles, 0u) << label;
+    return h.outcome();
+}
+
+TEST(EngineDifferential, DrainHysteresisSeesThePostIssueQueue)
+{
+    for (SchedulerKind sched :
+         {SchedulerKind::FrFcfs, SchedulerKind::FrFcfsWriteAge}) {
+        DramConfig cfg;
+        cfg.scheme = &schemeByName("pra");
+        cfg.scheduler = sched;
+        expectEnginesAgree(cfg,
+                           std::string("drain-edge/") +
+                               schedulerKindName(sched),
+                           false, runDrainEdge);
+    }
+}
+
+TEST(EngineDifferential, RefreshWakesAPoweredDownRank)
+{
+    DramConfig cfg;
+    cfg.scheme = &schemeByName("pra");
+    ASSERT_TRUE(cfg.powerDownEnabled);
+    expectEnginesAgree(cfg, "idle-refresh", false, runIdleRefresh);
 }
 
 } // namespace

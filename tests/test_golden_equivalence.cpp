@@ -80,7 +80,7 @@ fingerprint(const ControllerStats &s, const power::EnergyCounts &e)
  * command-by-command trace is deterministic.
  */
 std::uint64_t
-runCanned(DramConfig cfg)
+runCanned(DramConfig cfg, const char *name)
 {
     cfg.channels = 1;
     cfg.enableChecker = true;
@@ -93,10 +93,17 @@ runCanned(DramConfig cfg)
         return state >> 16;
     };
 
+    // Every gap at its longest plus twice a row cycle and a refresh per
+    // request, the idle tail and one more refresh interval: a healthy
+    // run ends far inside this, and a lost wake or delivery bound fails
+    // here instead of spinning.
+    const Timing &t = cfg.timing;
+    const Cycle budget =
+        600 * (99 + 2 * Cycle{t.tRc + t.tRfc}) + 3 * Cycle{t.tRefi};
     Cycle now = 0;
     unsigned issued = 0;
     std::uint64_t tag = 1;
-    while (issued < 600) {
+    while (issued < 600 && now < budget) {
         const std::uint64_t r = next();
         const bool is_write = r % 3 != 0;
         DecodedAddr loc;
@@ -132,9 +139,14 @@ runCanned(DramConfig cfg)
     }
     // Drain, then run through two more refresh intervals of idle time.
     const Cycle idle_end = now + 2 * cfg.timing.tRefi;
-    while (now < idle_end || mc.busy()) {
+    while ((now < idle_end || mc.busy()) && now < budget) {
         mc.tick(now++);
         mc.completions().clear();
+    }
+    if (now >= budget) {
+        ADD_FAILURE() << name << ": still busy at the " << budget
+                      << "-cycle budget (" << issued
+                      << " of 600 requests enqueued)";
     }
 
     EXPECT_TRUE(mc.checker()->clean())
@@ -190,7 +202,8 @@ TEST(GoldenEquivalence, DefaultPathMatchesPreRefactorFingerprints)
         return env && env[0] == '1';
     }();
     for (const GoldenCell &cell : kGolden) {
-        const std::uint64_t actual = runCanned(cellConfig(cell.name));
+        const std::uint64_t actual =
+            runCanned(cellConfig(cell.name), cell.name);
         if (print) {
             std::printf("    {\"%s\", 0x%llxull},\n", cell.name,
                         static_cast<unsigned long long>(actual));
