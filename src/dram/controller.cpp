@@ -873,17 +873,14 @@ MemoryController::nextEventCycle(Cycle now) const
 }
 
 void
-MemoryController::fastForward(Cycle from, Cycle to)
+MemoryController::fastForward([[maybe_unused]] Cycle from, Cycle to)
 {
-    // Settle any lazily deferred window first so the two analytic jumps
-    // stay contiguous, then mark [from, to) as accounted.
-    settleBackground();
-    for (unsigned r = 0; r < banks_.numRanks(); ++r) {
-        banks_.rank(r).fastForwardBackground(from, to,
-                                             banks_.anyQueuedInRank(r),
-                                             energy_);
-    }
-    bgFrom_ = bgPending_ = to;
+    // A skipped window is a run of published-quiet ticks: no command, no
+    // arrival. It only extends the deferred window, which the next round
+    // or counter read settles in one jump; the rank jump composes over
+    // adjacent windows (Rank::fastForwardBackground's Debug replay).
+    assert(bgPending_ == from);
+    bgPending_ = to;
 }
 
 bool

@@ -214,10 +214,11 @@ class MemoryController : private MaintenanceHooks
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * Cycle-skip support: account the background power of cycles
-     * [@p from, @p to) in one jump. Only valid when nextEventCycle(from)
+     * Cycle-skip support: skip cycles [@p from, @p to), where @p from is
+     * the cycle after the last tick. Only valid when nextEventCycle(from)
      * >= to and nothing is enqueued in the window — i.e. every skipped
-     * tick would have been action-free.
+     * tick would have been action-free. O(1): the window joins the
+     * deferred background window, as published-quiet ticks do.
      */
     void fastForward(Cycle from, Cycle to);
 
@@ -331,8 +332,9 @@ class MemoryController : private MaintenanceHooks
     /**
      * Account the background power of the deferred window [bgFrom_,
      * bgPending_) in one analytic jump (Rank::fastForwardBackground).
-     * Event-mode skipped ticks only record bgPending_; the window is
-     * action- and arrival-free by construction, so the jump is exact.
+     * Skipped ticks and fastForward() only record bgPending_; the
+     * window is action- and arrival-free by construction, so the jump
+     * is exact.
      */
     void settleBackground();
 

@@ -54,7 +54,8 @@ class DramSystem
 
     /**
      * Cycle-skip support: advance the clock from now() to @p target in
-     * one jump, accounting background power for the skipped cycles. The
+     * one jump; each channel defers the skipped cycles' background power
+     * to its next round or counter read (one store per channel). The
      * caller must have established via nextEventCycle() that every cycle
      * in [now(), target) is action-free.
      */

@@ -1,8 +1,47 @@
 #include "workloads/kernels.h"
 
-#include <numeric>
+#include <algorithm>
+#include <array>
+#include <utility>
 
 namespace pra::workloads {
+
+// ------------------------------------------------------------------ shuffle
+
+std::vector<std::uint32_t>
+shuffledIdentity(std::size_t n, Shuffle kind, Rng &rng)
+{
+    // A partner depends only on the RNG, never on the table, so drawing
+    // it early changes nothing but when its slot is fetched. A table
+    // has up to 2^21 entries (8 MB): without the prefetch nearly every
+    // step misses the host cache and TLB on its partner's slot.
+    const std::size_t bound_extra = kind == Shuffle::FisherYates ? 1 : 0;
+
+    std::vector<std::uint32_t> table;
+    table.reserve(n);
+    for (std::size_t k = 0; k < n; ++k)
+        table.push_back(static_cast<std::uint32_t>(k));
+
+    // Step s swaps entry n-1-s with the partner drawn kShuffleWindow
+    // steps earlier, which waits in ring[s % kShuffleWindow].
+    const std::size_t steps = n > 0 ? n - 1 : 0;
+    std::array<std::size_t, kShuffleWindow> ring{};
+    auto draw = [&](std::size_t s) {
+        const std::size_t j = rng.below(n - 1 - s + bound_extra);
+        __builtin_prefetch(&table[j], 1);
+        ring[s % kShuffleWindow] = j;
+    };
+    const std::size_t lead = std::min(kShuffleWindow, steps);
+    for (std::size_t s = 0; s < lead; ++s)
+        draw(s);
+    for (std::size_t s = 0; s < steps; ++s) {
+        const std::size_t j = ring[s % kShuffleWindow];
+        if (s + lead < steps)
+            draw(s + lead);
+        std::swap(table[n - 1 - s], table[j]);
+    }
+    return table;
+}
 
 // --------------------------------------------------------------------- GUPS
 
@@ -40,14 +79,8 @@ LinkedList::LinkedList(std::size_t nodes, unsigned gap,
     : gap_(gap), storeFraction_(store_fraction), rng_(seed)
 {
     // Sattolo's algorithm: a single random cycle through all nodes.
-    std::vector<std::uint32_t> next(nodes);
-    std::iota(next.begin(), next.end(), 0u);
-    for (std::size_t i = nodes - 1; i > 0; --i) {
-        const std::size_t j = rng_.below(i);
-        std::swap(next[i], next[j]);
-    }
-    nextIndex_ =
-        std::make_shared<const std::vector<std::uint32_t>>(std::move(next));
+    nextIndex_ = std::make_shared<const std::vector<std::uint32_t>>(
+        shuffledIdentity(nodes, Shuffle::Sattolo, rng_));
 }
 
 cpu::MemOp
@@ -72,6 +105,9 @@ LinkedList::next()
     op.serializing = true;
     pendingStore_ = rng_.chance(storeFraction_);
     current_ = (*nextIndex_)[current_];
+    // The next hop reads this slot; fetch it while the other cores and
+    // the cache hierarchy run.
+    __builtin_prefetch(&(*nextIndex_)[current_]);
     return op;
 }
 
@@ -82,14 +118,8 @@ Em3d::Em3d(std::size_t nodes, unsigned gap, std::uint64_t seed)
 {
     // Nodes are visited in shuffled order, as the Olden allocator
     // interleaves E and H nodes across the heap.
-    std::vector<std::uint32_t> order(nodes_);
-    std::iota(order.begin(), order.end(), 0u);
-    for (std::size_t i = nodes_ - 1; i > 0; --i) {
-        const std::size_t j = rng_.below(i + 1);
-        std::swap(order[i], order[j]);
-    }
-    visitOrder_ =
-        std::make_shared<const std::vector<std::uint32_t>>(std::move(order));
+    visitOrder_ = std::make_shared<const std::vector<std::uint32_t>>(
+        shuffledIdentity(nodes_, Shuffle::FisherYates, rng_));
 }
 
 cpu::MemOp

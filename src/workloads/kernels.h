@@ -11,6 +11,7 @@
 #ifndef PRA_WORKLOADS_KERNELS_H
 #define PRA_WORKLOADS_KERNELS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,6 +20,26 @@
 #include "cpu/mem_op.h"
 
 namespace pra::workloads {
+
+/** Which swap partner shuffledIdentity() draws at step i. */
+enum class Shuffle
+{
+    Sattolo,     //!< below(i): one random cycle through all entries.
+    FisherYates, //!< below(i + 1): a uniform permutation.
+};
+
+/** How many steps ahead shuffledIdentity() draws its swap partners. */
+inline constexpr std::size_t kShuffleWindow = 16;
+
+/**
+ * The table 0..@p n-1 shuffled from the top down: step i (n-1 down to 1)
+ * swaps entries i and @p kind's partner, drawn from @p rng. The table
+ * and the state @p rng ends in equal those of the plain loop; the
+ * partners are drawn kShuffleWindow steps ahead so that the host can
+ * prefetch their slots (DESIGN.md §1).
+ */
+std::vector<std::uint32_t> shuffledIdentity(std::size_t n, Shuffle kind,
+                                            Rng &rng);
 
 /**
  * GUPS: read-modify-write of a random 8-byte element of a giant table.

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "dram/dram_system.h"
 
@@ -151,32 +153,60 @@ struct RunTrace
 {
     std::vector<Completion> completions;
     power::EnergyCounts energy;
-    std::uint64_t acts = 0;
-    std::uint64_t precharges = 0;
-    std::uint64_t refreshes = 0;
+    ControllerStats stats;
+    std::uint64_t jumps = 0;  //!< fastForwardTo() calls that moved now().
 };
+
+/** How runFrom() advances the clock between arrivals. */
+enum class Stepping
+{
+    TickEveryCycle,
+    /** One fastForwardTo(nextEventCycle()) before the first tick. */
+    SkipBeforeFirstTick,
+    /**
+     * After every tick, jump to the next event (or arrival) in two
+     * back-to-back fastForwardTo() calls, reading energyCounts() between
+     * them, so deferred windows are extended, settled mid-way and
+     * extended again.
+     */
+    SkipAfterEveryTick,
+};
+
+/** Arrivals happen on these absolute cycles only. */
+bool
+arrivalCycle(Cycle c)
+{
+    return c >= 5 && c < 12'000 && c % 9 == 0;
+}
 
 /**
  * A short mixed read/write run on the default (power-down enabled)
- * configuration. Arrivals are keyed to absolute cycles from 5 on, so a
- * run that fast-forwards over its first cycles sees the same arrivals.
- * With @p skip_first, the first step is a fastForwardTo() to the bound
- * nextEventCycle() reports before any tick.
+ * configuration that spans several refreshes, the last ones after the
+ * arrivals end. Arrivals are keyed to absolute cycles, so a run that
+ * fast-forwards between them sees the same arrivals.
  */
 RunTrace
-runFrom(bool skip_first)
+runFrom(Stepping stepping)
 {
+    constexpr Cycle kEnd = 20'000;
     DramSystem sys(DramConfig{});
-    if (skip_first) {
+    RunTrace out;
+    auto jump = [&](Cycle target) {
+        if (target > sys.now())
+            ++out.jumps;
+        sys.fastForwardTo(target);
+    };
+    if (stepping == Stepping::SkipBeforeFirstTick) {
         const Cycle target = sys.nextEventCycle();
         EXPECT_LE(target, sys.now() + 1);
-        sys.fastForwardTo(target);
+        jump(target);
     }
-    RunTrace out;
+    const unsigned ranks =
+        sys.config().channels * sys.config().ranksPerChannel;
     Rng rng(11);
     std::uint64_t tag = 1;
-    while (sys.now() < 20'000) {
-        if (sys.now() >= 5 && sys.now() < 12'000 && sys.now() % 9 == 0) {
+    while (sys.now() < kEnd) {
+        if (arrivalCycle(sys.now())) {
             DecodedAddr loc;
             loc.channel = static_cast<unsigned>(rng.below(2));
             loc.rank = static_cast<unsigned>(rng.below(2));
@@ -193,22 +223,58 @@ runFrom(bool skip_first)
         sys.tick();
         for (const Completion &c : sys.drainCompletions())
             out.completions.push_back(c);
+        if (stepping != Stepping::SkipAfterEveryTick)
+            continue;
+        Cycle target = std::min(sys.nextEventCycle(), kEnd);
+        for (Cycle c = sys.now(); c < target; ++c) {
+            if (arrivalCycle(c)) {
+                target = c;
+                break;
+            }
+        }
+        jump(sys.now() + (target - sys.now()) / 2);
+        // Settles the first jump's window; the second must extend the
+        // settled state, not replay it.
+        const power::EnergyCounts mid = sys.energyCounts();
+        EXPECT_EQ(mid.actStandbyCycles + mid.preStandbyCycles +
+                      mid.powerDownCycles,
+                  ranks * sys.now());
+        jump(target);
     }
     out.energy = sys.energyCounts();
-    const ControllerStats s = sys.aggregateStats();
-    out.acts = s.actsForReads + s.actsForWrites;
-    out.precharges = s.precharges;
-    out.refreshes = s.refreshes;
+    out.stats = sys.aggregateStats();
     return out;
 }
 
-TEST(DramSystem, SkipBoundBeforeFirstTickIsExact)
+bool
+sameField(std::uint64_t a, std::uint64_t b)
 {
-    // Before the first tick no channel has published a wake-up bound;
-    // nextEventCycle() must then skip at most the current cycle, and a
-    // run that takes that skip must match one that never skips.
-    const RunTrace ticked = runFrom(false);
-    const RunTrace skipped = runFrom(true);
+    return a == b;
+}
+
+bool
+sameField(const Histogram &a, const Histogram &b)
+{
+    if (a.buckets() != b.buckets())
+        return false;
+    for (std::size_t i = 0; i < a.buckets(); ++i) {
+        if (a.count(i) != b.count(i))
+            return false;
+    }
+    return true;
+}
+
+bool
+sameField(const Summary &a, const Summary &b)
+{
+    return a.samples() == b.samples() && a.sum() == b.sum() &&
+           a.min() == b.min() && a.max() == b.max();
+}
+
+/** @p skipped must match the every-cycle run @p ticked bit for bit. */
+void
+expectSameRun(const RunTrace &ticked, const RunTrace &skipped)
+{
     ASSERT_EQ(ticked.completions.size(), skipped.completions.size());
     EXPECT_GT(ticked.completions.size(), 100u);
     for (std::size_t i = 0; i < ticked.completions.size(); ++i) {
@@ -219,10 +285,34 @@ TEST(DramSystem, SkipBoundBeforeFirstTickIsExact)
                   skipped.completions[i].latency);
     }
     EXPECT_TRUE(ticked.energy == skipped.energy);
-    EXPECT_EQ(ticked.acts, skipped.acts);
-    EXPECT_EQ(ticked.precharges, skipped.precharges);
-    EXPECT_EQ(ticked.refreshes, skipped.refreshes);
-    EXPECT_GT(ticked.refreshes, 0u);
+    forEachField(
+        [](const char *key, unsigned, const auto &a, const auto &b) {
+            EXPECT_TRUE(sameField(a, b)) << key;
+        },
+        ticked.stats, skipped.stats);
+    EXPECT_GT(ticked.stats.refreshes, 0u);
+    EXPECT_GT(ticked.energy.powerDownCycles, 0u);
+}
+
+TEST(DramSystem, SkipBoundBeforeFirstTickIsExact)
+{
+    // Before the first tick no channel has published a wake-up bound;
+    // nextEventCycle() must then skip at most the current cycle, and a
+    // run that takes that skip must match one that never skips.
+    expectSameRun(runFrom(Stepping::TickEveryCycle),
+                  runFrom(Stepping::SkipBeforeFirstTick));
+}
+
+TEST(DramSystem, DeferredSkipsMidRunAreExact)
+{
+    // Jumps in the middle of a run only extend each channel's deferred
+    // background window; adjacent jumps, a settle between them, refreshes
+    // and power-down entry inside them must all leave the run unchanged.
+    const RunTrace ticked = runFrom(Stepping::TickEveryCycle);
+    const RunTrace skipped = runFrom(Stepping::SkipAfterEveryTick);
+    expectSameRun(ticked, skipped);
+    EXPECT_EQ(ticked.jumps, 0u);
+    EXPECT_GT(skipped.jumps, 1000u);
 }
 
 TEST(DramSystem, DrainBounded)

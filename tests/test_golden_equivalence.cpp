@@ -5,8 +5,8 @@
  * The controller decomposition (scheduler / bank-engine / bus-arbiter /
  * maintenance layers, DESIGN.md §9) promises the default FR-FCFS path
  * is *bit-identical* to the pre-refactor monolith. This test pins that
- * contract: a canned deterministic request mix is driven through a
- * standalone controller under Baseline and PRA (DDR3 relaxed close,
+ * contract: the canned deterministic request mix (canned_traffic.h) is
+ * driven through a standalone controller under Baseline and PRA (DDR3 relaxed close,
  * restricted close, and the DDR4-2400 bank-group preset), and the
  * FNV-1a fingerprint over every ControllerStats and EnergyCounts field
  * must equal the constants recorded against the pre-refactor controller
@@ -22,139 +22,20 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/hash.h"
-#include "dram/address_mapping.h"
-#include "dram/controller.h"
+#include "canned_traffic.h"
 #include "dram/presets.h"
 
 namespace pra::dram {
 namespace {
 
-/** Fold every stats/energy field into one order-fixed FNV-1a hash. */
+/** The canned mix's stats/energy fingerprint; the run must be clean. */
 std::uint64_t
-fingerprint(const ControllerStats &s, const power::EnergyCounts &e)
+runCanned(const DramConfig &cfg, const char *name)
 {
-    Fnv1a h;
-    h.add(s.readReqs);
-    h.add(s.writeReqs);
-    h.add(s.readRowHits);
-    h.add(s.writeRowHits);
-    h.add(s.readRowMisses);
-    h.add(s.writeRowMisses);
-    h.add(s.readFalseHits);
-    h.add(s.writeFalseHits);
-    h.add(s.actsForReads);
-    h.add(s.actsForWrites);
-    h.add(s.precharges);
-    h.add(s.refreshes);
-    h.add(s.forwardedReads);
-    for (std::size_t b = 0; b < s.actGranularity.buckets(); ++b)
-        h.add(s.actGranularity.count(b));
-    h.add(s.readLatency.samples());
-    h.add(s.readLatency.sum());
-    h.add(s.readLatency.min());
-    h.add(s.readLatency.max());
-
-    for (auto a : e.acts)
-        h.add(a);
-    for (auto a : e.actsHalfHeight)
-        h.add(a);
-    h.add(e.sdsActs);
-    h.add(e.sdsChipsActivated);
-    h.add(e.readLines);
-    h.add(e.writeLines);
-    h.add(e.writeWordsDriven);
-    h.add(e.actStandbyCycles);
-    h.add(e.preStandbyCycles);
-    h.add(e.powerDownCycles);
-    h.add(e.refreshOps);
-    h.add(e.elapsedCycles);
-    return h.value();
-}
-
-/**
- * Drive a canned request mix: an LCG request stream over both ranks,
- * all banks, mixed reads and masked writes, bursty enough to trigger
- * write drains, long enough to span several refresh intervals. Every
- * arrival cycle and address is a pure function of the seed, so the
- * command-by-command trace is deterministic.
- */
-std::uint64_t
-runCanned(DramConfig cfg, const char *name)
-{
-    cfg.channels = 1;
-    cfg.enableChecker = true;
-    AddressMapper mapper(cfg);
-    MemoryController mc(cfg, 0);
-
-    std::uint64_t state = 0x9e3779b97f4a7c15ull;
-    auto next = [&state] {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return state >> 16;
-    };
-
-    // Every gap at its longest plus twice a row cycle and a refresh per
-    // request, the idle tail and one more refresh interval: a healthy
-    // run ends far inside this, and a lost wake or delivery bound fails
-    // here instead of spinning.
-    const Timing &t = cfg.timing;
-    const Cycle budget =
-        600 * (99 + 2 * Cycle{t.tRc + t.tRfc}) + 3 * Cycle{t.tRefi};
-    Cycle now = 0;
-    unsigned issued = 0;
-    std::uint64_t tag = 1;
-    while (issued < 600 && now < budget) {
-        const std::uint64_t r = next();
-        const bool is_write = r % 3 != 0;
-        DecodedAddr loc;
-        loc.rank = static_cast<unsigned>((r >> 3) % cfg.ranksPerChannel);
-        loc.bank = static_cast<unsigned>((r >> 8) % cfg.banksPerRank);
-        loc.row = static_cast<std::uint32_t>((r >> 12) % 48);
-        loc.col =
-            static_cast<unsigned>((r >> 20) % std::min(32u, cfg.linesPerRow));
-        Request req;
-        req.addr = mapper.encode(loc);
-        req.loc = loc;
-        req.isWrite = is_write;
-        req.tag = tag++;
-        if (is_write) {
-            // One to three dirty words, LCG-chosen.
-            WordMask m = WordMask::single((r >> 28) % 8);
-            if (r & 1)
-                m |= WordMask::single((r >> 33) % 8);
-            if (r & 2)
-                m |= WordMask::single((r >> 38) % 8);
-            req.mask = m;
-        }
-        if (mc.canAccept(is_write)) {
-            mc.enqueue(req, now);
-            ++issued;
-        }
-        // Bursty arrivals: mostly back-to-back, sometimes an idle gap
-        // long enough for power-down entry.
-        const Cycle gap = (r % 7 == 0) ? 40 + (r >> 40) % 60 : 1 + r % 3;
-        const Cycle until = now + gap;
-        while (now < until)
-            mc.tick(now++);
-    }
-    // Drain, then run through two more refresh intervals of idle time.
-    const Cycle idle_end = now + 2 * cfg.timing.tRefi;
-    while ((now < idle_end || mc.busy()) && now < budget) {
-        mc.tick(now++);
-        mc.completions().clear();
-    }
-    if (now >= budget) {
-        ADD_FAILURE() << name << ": still busy at the " << budget
-                      << "-cycle budget (" << issued
-                      << " of 600 requests enqueued)";
-    }
-
-    EXPECT_TRUE(mc.checker()->clean())
-        << mc.checker()->violations().front();
-
-    power::EnergyCounts energy = mc.energyCounts();
-    energy.elapsedCycles = now;
-    return fingerprint(mc.stats(), energy);
+    const test::Outcome out = test::runCanned(cfg, name);
+    EXPECT_TRUE(out.violations.empty()) << name << ": "
+                                        << out.violations.front();
+    return out.statsFp;
 }
 
 struct GoldenCell

@@ -107,6 +107,115 @@ TEST(Em3d, VisitsEveryNodeOncePerSweep)
 }
 
 /**
+ * The plain top-down shuffle loops shuffledIdentity() replaces: Sattolo
+ * (partner below(i)) and Fisher-Yates (partner below(i + 1)), drawn and
+ * swapped one step at a time.
+ */
+std::vector<std::uint32_t>
+plainShuffle(std::size_t n, Shuffle kind, Rng &rng)
+{
+    std::vector<std::uint32_t> table(n);
+    for (std::size_t k = 0; k < n; ++k)
+        table[k] = static_cast<std::uint32_t>(k);
+    for (std::size_t i = n - 1; i > 0; --i) {
+        const std::size_t j =
+            rng.below(kind == Shuffle::Sattolo ? i : i + 1);
+        std::swap(table[i], table[j]);
+    }
+    return table;
+}
+
+/** Sizes around the lookahead window's edges, and the seeds tried. */
+const std::size_t kShuffleSizes[] = {1,
+                                     2,
+                                     3,
+                                     kShuffleWindow - 1,
+                                     kShuffleWindow,
+                                     kShuffleWindow + 1,
+                                     1000,
+                                     1u << 16};
+const std::uint64_t kShuffleSeeds[] = {1, 11, 0xdeadbeef};
+
+TEST(Shuffle, MatchesPlainLoopsAndLeavesTheSameRngState)
+{
+    for (Shuffle kind : {Shuffle::Sattolo, Shuffle::FisherYates}) {
+        for (std::size_t n : kShuffleSizes) {
+            for (std::uint64_t seed : kShuffleSeeds) {
+                Rng fast(seed), plain(seed);
+                ASSERT_EQ(shuffledIdentity(n, kind, fast),
+                          plainShuffle(n, kind, plain))
+                    << "n " << n << " seed " << seed;
+                for (int k = 0; k < 100; ++k)
+                    ASSERT_EQ(fast.next(), plain.next())
+                        << "n " << n << " seed " << seed;
+            }
+        }
+    }
+}
+
+/**
+ * A LinkedList over the plain Sattolo table: the reference for the first
+ * ops of a freshly built LinkedList (same address and kind per op).
+ */
+TEST(LinkedList, OpsMatchPlainSattoloReference)
+{
+    constexpr double kStoreFraction = 0.55;
+    for (std::size_t n : kShuffleSizes) {
+        for (std::uint64_t seed : kShuffleSeeds) {
+            LinkedList g(n, 20, kStoreFraction, seed);
+            Rng rng(seed);
+            const std::vector<std::uint32_t> next =
+                plainShuffle(n, Shuffle::Sattolo, rng);
+            ASSERT_EQ(g.nextIndex(), next) << "n " << n << " seed " << seed;
+            std::uint32_t node = 0;
+            bool pending_store = false;
+            for (int i = 0; i < 10000; ++i) {
+                const cpu::MemOp op = g.next();
+                Addr want = static_cast<Addr>(node) * kLineBytes;
+                if (pending_store) {
+                    pending_store = false;
+                    want += kBytesPerWord;
+                    ASSERT_TRUE(op.isWrite) << "op " << i << " n " << n;
+                } else {
+                    ASSERT_FALSE(op.isWrite) << "op " << i << " n " << n;
+                    pending_store = rng.chance(kStoreFraction);
+                    node = next[node];
+                }
+                ASSERT_EQ(op.addr, want) << "op " << i << " n " << n;
+            }
+        }
+    }
+}
+
+/** The same for Em3d over the plain Fisher-Yates visit order. */
+TEST(Em3d, OpsMatchPlainFisherYatesReference)
+{
+    constexpr Addr kNeighborLines = (512ull << 10) / kLineBytes;
+    for (std::size_t n : kShuffleSizes) {
+        for (std::uint64_t seed : kShuffleSeeds) {
+            Em3d g(n, 14, seed);
+            Rng rng(seed);
+            const std::vector<std::uint32_t> order =
+                plainShuffle(n, Shuffle::FisherYates, rng);
+            ASSERT_EQ(g.visitOrder(), order)
+                << "n " << n << " seed " << seed;
+            for (int i = 0; i < 5000; ++i) {
+                const cpu::MemOp load = g.next();
+                ASSERT_FALSE(load.isWrite);
+                ASSERT_EQ(load.addr, rng.below(kNeighborLines) * kLineBytes)
+                    << "op " << 2 * i << " n " << n;
+                const cpu::MemOp store = g.next();
+                ASSERT_TRUE(store.isWrite);
+                ASSERT_EQ(store.addr,
+                          (1ull << 30) +
+                              static_cast<Addr>(order[i % n]) * kLineBytes)
+                    << "op " << 2 * i + 1 << " n " << n;
+            }
+        }
+    }
+}
+
+/**
  * A clone shares its source's read-only table instead of copying it,
  * and from the fork point both produce the same op stream.
  */
