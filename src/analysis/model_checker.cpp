@@ -1,7 +1,6 @@
 #include "analysis/model_checker.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -12,6 +11,8 @@
 #include "dram/checker.h"
 #include "dram/maintenance_engine.h"
 #include "dram/request.h"
+#include "dram/request_queue.h"
+#include "dram/request_scan.h"
 #include "dram/sched/scheduler_policy.h"
 
 namespace pra::analysis {
@@ -24,6 +25,8 @@ using dram::CheckedCommand;
 using dram::DramConfig;
 using dram::MaintenanceEngine;
 using dram::Request;
+using dram::RequestQueue;
+using dram::RequestScan;
 using dram::TimingChecker;
 
 /**
@@ -84,8 +87,8 @@ struct ModelState
     Cycle now = 0;
     BankEngine banks;
     BusArbiter bus;
-    std::deque<Request> readQ;
-    std::deque<Request> writeQ;
+    RequestQueue readQ;
+    RequestQueue writeQ;
     std::size_t nextArrival = 0;
     TimingChecker checker;
     /** Liveness bookkeeping: last cycle each rank was granted any
@@ -99,7 +102,8 @@ struct ModelState
     std::vector<std::uint16_t> specCounts;
 
     ModelState(const DramConfig &cfg)
-        : banks(cfg), bus(cfg), checker(cfg),
+        : banks(cfg), bus(cfg), readQ(cfg.ranksPerChannel, cfg.banksPerRank),
+          writeQ(cfg.ranksPerChannel, cfg.banksPerRank), checker(cfg),
           rankOwed(cfg.ranksPerChannel, kNever), prac(cfg),
           specCounts(cfg.pracEnabled
                          ? static_cast<std::size_t>(cfg.ranksPerChannel) *
@@ -125,7 +129,7 @@ struct Choice
 
     Kind kind = Kind::Idle;
     bool isWrite = false;   //!< Activate/Column: which queue.
-    std::size_t index = 0;  //!< Activate/Column: queue position.
+    RequestQueue::Slot slot = RequestQueue::kEnd;  //!< Activate/Column.
     unsigned rank = 0;      //!< Target rank (all command kinds).
     unsigned bank = 0;      //!< Target bank (Refresh: unused).
     std::uint32_t row = 0;  //!< Activate/Column target row.
@@ -135,8 +139,8 @@ struct Choice
     /**
      * Identity for sleep-set bookkeeping: a choice re-enumerated in a
      * successor state is "the same" choice when its command-level
-     * target matches (queue indices shift as requests dequeue, so the
-     * index is deliberately not part of the key).
+     * target matches (the queue slot is deliberately not part of the
+     * key: two requests can produce the same command).
      */
     std::uint64_t
     key() const
@@ -234,15 +238,7 @@ class Explorer
     bool livenessOn() const { return opts_.livenessBound > 0; }
 
   private:
-    // --- Workload admission (mirrors MemoryController::enqueue) ----------
-
-    WordMask
-    needOf(const Request &req) const
-    {
-        if (!req.isWrite)
-            return scheme_->readNeed(req.addr);
-        return scheme_->writeNeed(req.mask, req.chipMask);
-    }
+    // --- Workload admission (the controller's admitRequest) -------------
 
     void
     enqueueArrivals(ModelState &s) const
@@ -250,45 +246,14 @@ class Explorer
         while (s.nextArrival < workload_.size() &&
                workload_[s.nextArrival].arrival <= s.now) {
             const ModelRequest &m = workload_[s.nextArrival++];
-            Request req;
-            req.addr = syntheticAddr(m);
-            req.isWrite = m.isWrite;
-            req.mask = m.isWrite ? WordMask{m.mask} : WordMask::full();
-            req.arrival = s.now;
-            req.loc.channel = 0;
-            req.loc.rank = m.rank;
-            req.loc.bank = m.bank;
-            req.loc.row = m.row;
-            req.loc.col = m.col;
-            if (req.isWrite) {
-                // Write combining with a queued same-line write.
-                bool combined = false;
-                for (Request &w : s.writeQ) {
-                    if (w.addr == req.addr) {
-                        w.mask |= req.mask;
-                        w.need = needOf(w);
-                        w.probeEpoch = Request::kProbeInvalid;
-                        combined = true;
-                        break;
-                    }
-                }
-                if (combined)
-                    continue;
-                req.need = needOf(req);
-                s.writeQ.push_back(req);
-                s.banks.onEnqueue(s.writeQ.back());
-            } else {
-                // Read forwarding: served from the write queue, never
-                // reaches DRAM.
-                bool forwarded = false;
-                for (const Request &w : s.writeQ)
-                    forwarded = forwarded || w.addr == req.addr;
-                if (forwarded)
-                    continue;
-                req.need = needOf(req);
-                s.readQ.push_back(req);
-                s.banks.onEnqueue(s.readQ.back());
-            }
+            Request req{
+                .addr = syntheticAddr(m),
+                .isWrite = m.isWrite,
+                .mask = m.isWrite ? WordMask{m.mask} : WordMask::full(),
+                .arrival = s.now,
+                .loc = {.rank = m.rank, .bank = m.bank, .row = m.row,
+                        .col = m.col}};
+            dram::admitRequest(*scheme_, s.banks, s.readQ, s.writeQ, req);
         }
     }
 
@@ -304,19 +269,11 @@ class Explorer
         return lines * 64;
     }
 
-    /** OR of queued same-row write masks (mergedWriteMask, uncached). */
-    WordMask
-    mergedWriteMask(const ModelState &s, const Request &req) const
+    /** The controller's request scans over @p s's layers and queues. */
+    RequestScan
+    scanOf(ModelState &s) const
     {
-        WordMask merged = WordMask::none();
-        for (const Request &w : s.writeQ) {
-            if (!w.loc.sameRow(req.loc))
-                continue;
-            merged |= scheme_->writeMask(w.mask, w.chipMask);
-            if (!cfg_.mergeWriteMasks)
-                break;
-        }
-        return merged.empty() ? WordMask::full() : merged;
+        return RequestScan(cfg_, s.banks, s.bus, s.prac, *sched_, s.writeQ);
     }
 
     // --- Command application (mirrors the controller's issue paths) ------
@@ -344,42 +301,30 @@ class Explorer
     }
 
     std::string
-    applyActivate(ModelState &s, bool is_write, std::size_t idx,
+    applyActivate(ModelState &s, bool is_write, RequestQueue::Slot slot,
                   std::vector<ScriptCommand> &path)
     {
-        std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
-        Request &req = q[idx];
+        Request &req = (is_write ? s.writeQ : s.readQ).at(slot);
         dram::Rank &rank = s.banks.rank(req.loc.rank);
 
-        const WordMask dirty =
-            is_write ? mergedWriteMask(s, req)
-            : req.fullRowFallback ? WordMask::full()
-                                  : scheme_->readActMask(req.addr);
-        unsigned gran = scheme_->actGranularity(is_write, dirty);
-        WordMask open_mask = scheme_->actMask(is_write, dirty);
-        const bool partial = scheme_->needsMaskCycle(is_write, dirty);
-        if (partial && gran < cfg_.minActGranularity)
-            gran = std::min(cfg_.minActGranularity, kMatGroups);
-        const double weight = cfg_.weightedActWindow
-                                  ? scheme_->actWeight(gran, cfg_.power)
-                                  : 1.0;
+        const dram::ActPlan plan = scanOf(s).activation(req, is_write);
         // The scheme-derived mask is the invariant; the fault hook (when
         // armed) widens the issued mask behind its back, exactly like the
         // controller's issueActivate does.
-        const WordMask expected = open_mask;
+        const WordMask expected = plan.openMask;
+        WordMask open_mask = expected;
         if (cfg_.auditFaultWidenAct != 0)
             open_mask |= WordMask{cfg_.auditFaultWidenAct};
 
-        ScriptCommand sc;
-        sc.kind = CheckedCommand::Kind::Activate;
-        sc.cycle = s.now;
-        sc.rank = req.loc.rank;
-        sc.bank = req.loc.bank;
-        sc.row = req.loc.row;
-        sc.partial = partial;
-        sc.weight = weight;
-        sc.mask = open_mask.bits();
-        sc.expect = expected.bits();
+        const ScriptCommand sc{.kind = CheckedCommand::Kind::Activate,
+                               .cycle = s.now,
+                               .rank = req.loc.rank,
+                               .bank = req.loc.bank,
+                               .row = req.loc.row,
+                               .partial = plan.partial,
+                               .weight = plan.weight,
+                               .mask = open_mask.bits(),
+                               .expect = expected.bits()};
         path.push_back(sc);
 
         std::string v = observe(s, sc.checked());
@@ -389,14 +334,14 @@ class Explorer
                 "served dirty MAT groups";
         }
         rank.activateBank(req.loc.bank, s.now, req.loc.row, open_mask,
-                          partial);
-        rank.recordActivation(s.now, weight);
+                          plan.partial);
+        rank.recordActivation(s.now, plan.weight);
         // The implementation model counts through the (possibly faulted)
         // PRAC state machine; the spec shadow counts *every* ACT. Their
         // divergence is exactly what the threshold property watches.
         if (cfg_.pracEnabled && req.loc.row < cfg_.rowsPerBank) {
             s.prac.onActivate(req.loc.rank, req.loc.bank, req.loc.row,
-                              partial, s.now);
+                              plan.partial, s.now);
             std::uint16_t &cnt = specCountAt(s, req.loc.rank,
                                              req.loc.bank, req.loc.row);
             ++cnt;
@@ -411,20 +356,21 @@ class Explorer
                     " without mitigation";
             }
         }
-        s.bus.holdCmdBus(s.now,
-                         partial ? cfg_.timing.praMaskCycles : 0u);
-        s.banks.recountOpenRowMatches(req.loc.rank, req.loc.bank, s.readQ,
-                                      s.writeQ);
+        s.bus.holdCmdBus(s.now, plan.partial ? cfg_.timing.praMaskCycles : 0u);
+        s.banks.recountOpenRowMatches(
+            req.loc.rank, req.loc.bank,
+            s.readQ.bank(req.loc.rank, req.loc.bank),
+            s.writeQ.bank(req.loc.rank, req.loc.bank));
         return v;
     }
 
     std::string
-    applyColumn(ModelState &s, bool is_write, std::size_t idx,
+    applyColumn(ModelState &s, bool is_write, RequestQueue::Slot slot,
                 std::vector<ScriptCommand> &path)
     {
-        std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
-        const Request req = q[idx];
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
+        RequestQueue &q = is_write ? s.writeQ : s.readQ;
+        const Request req = q.at(slot);
+        q.erase(slot);
 
         dram::Bank &bank = s.banks.bank(req.loc.rank, req.loc.bank);
         const unsigned burst = scheme_->columnBurstCycles(
@@ -433,15 +379,14 @@ class Explorer
             static_cast<unsigned>(cfg_.timing.burstCycles));
         const WordMask open_mask = bank.rowBuffer().openMask();
 
-        ScriptCommand sc;
-        sc.kind = is_write ? CheckedCommand::Kind::Write
-                           : CheckedCommand::Kind::Read;
-        sc.cycle = s.now;
-        sc.rank = req.loc.rank;
-        sc.bank = req.loc.bank;
-        sc.row = req.loc.row;
-        sc.burst = burst;
-        sc.need = req.need.bits();
+        const ScriptCommand sc{.kind = is_write ? CheckedCommand::Kind::Write
+                                                : CheckedCommand::Kind::Read,
+                               .cycle = s.now,
+                               .rank = req.loc.rank,
+                               .bank = req.loc.bank,
+                               .row = req.loc.row,
+                               .burst = burst,
+                               .need = req.need.bits()};
         path.push_back(sc);
 
         std::string v = observe(s, sc.checked());
@@ -481,11 +426,10 @@ class Explorer
     applyPrecharge(ModelState &s, unsigned r, unsigned b,
                    std::vector<ScriptCommand> &path, bool auto_pre)
     {
-        ScriptCommand sc;
-        sc.kind = CheckedCommand::Kind::Precharge;
-        sc.cycle = s.now;
-        sc.rank = r;
-        sc.bank = b;
+        const ScriptCommand sc{.kind = CheckedCommand::Kind::Precharge,
+                               .cycle = s.now,
+                               .rank = r,
+                               .bank = b};
         path.push_back(sc);
 
         const std::string v = observe(s, sc.checked());
@@ -500,10 +444,9 @@ class Explorer
     applyRefresh(ModelState &s, unsigned r,
                  std::vector<ScriptCommand> &path)
     {
-        ScriptCommand sc;
-        sc.kind = CheckedCommand::Kind::Refresh;
-        sc.cycle = s.now;
-        sc.rank = r;
+        const ScriptCommand sc{.kind = CheckedCommand::Kind::Refresh,
+                               .cycle = s.now,
+                               .rank = r};
         path.push_back(sc);
 
         const std::string v = observe(s, sc.checked());
@@ -519,12 +462,11 @@ class Explorer
     applyRfm(ModelState &s, unsigned r, std::vector<ScriptCommand> &path)
     {
         const dram::PracMitigation mit = s.prac.applyRfm(r, s.now);
-        ScriptCommand sc;
-        sc.kind = CheckedCommand::Kind::Rfm;
-        sc.cycle = s.now;
-        sc.rank = r;
-        sc.bank = mit.bank;
-        sc.row = mit.row;
+        const ScriptCommand sc{.kind = CheckedCommand::Kind::Rfm,
+                               .cycle = s.now,
+                               .rank = r,
+                               .bank = mit.bank,
+                               .row = mit.row};
         path.push_back(sc);
 
         const std::string v = observe(s, sc.checked());
@@ -596,11 +538,11 @@ class Explorer
             served = true;
             break;
           case Choice::Kind::Activate:
-            out.violation = applyActivate(s, c.isWrite, c.index, path);
+            out.violation = applyActivate(s, c.isWrite, c.slot, path);
             served = true;
             break;
           case Choice::Kind::Column:
-            out.violation = applyColumn(s, c.isWrite, c.index, path);
+            out.violation = applyColumn(s, c.isWrite, c.slot, path);
             served = true;
             break;
           case Choice::Kind::Rfm:
@@ -654,15 +596,12 @@ class Explorer
                    " cycles > liveness bound " +
                    std::to_string(opts_.livenessBound);
         };
-        for (const Request &r : s.readQ) {
-            const std::string v = starved(r);
-            if (!v.empty())
-                return v;
-        }
-        for (const Request &r : s.writeQ) {
-            const std::string v = starved(r);
-            if (!v.empty())
-                return v;
+        for (const RequestQueue *q : {&s.readQ, &s.writeQ}) {
+            for (const Request &r : q->all()) {
+                const std::string v = starved(r);
+                if (!v.empty())
+                    return v;
+            }
         }
         for (unsigned r = 0; r < cfg_.ranksPerChannel; ++r) {
             const Cycle due = s.banks.rank(r).nextRefreshAt();
@@ -721,10 +660,10 @@ class Explorer
     {
         Cycle d = kNever;
         auto upd = [&](Cycle c) { d = std::min(d, c); };
-        for (const Request &r : s.readQ)
-            upd(r.arrival + opts_.livenessBound + 1);
-        for (const Request &r : s.writeQ)
-            upd(r.arrival + opts_.livenessBound + 1);
+        for (const RequestQueue *q : {&s.readQ, &s.writeQ}) {
+            for (const Request &r : q->all())
+                upd(r.arrival + opts_.livenessBound + 1);
+        }
         for (unsigned r = 0; r < cfg_.ranksPerChannel; ++r) {
             upd(s.banks.rank(r).nextRefreshAt() + opts_.refreshSlack + 1);
             if (s.rankOwed[r] != kNever)
@@ -745,7 +684,7 @@ class Explorer
                    : kNever;
     }
 
-    // --- Choice enumeration (mirrors the controller's tick gates) --------
+    // --- Choice enumeration (the spec: every legal command) -------------
 
     void
     enumerateColumns(ModelState &s, bool is_write,
@@ -754,12 +693,13 @@ class Explorer
     {
         if (!is_write && s.bus.readBlocked(s.now))
             return;
-        std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
+        RequestQueue &q = is_write ? s.writeQ : s.readQ;
         const std::size_t window = sched_->columnWindow(q.size());
-        for (std::size_t i = 0; i < window; ++i) {
-            Request &req = q[i];
+        RequestQueue::Slot slot = q.head();
+        for (std::size_t i = 0; i < window; ++i, slot = q.next(slot)) {
+            Request &req = q.at(slot);
             // Mirror the controller's (faulted) aged-request skip: the
-            // bounded-progress property, not the emulation, must flag
+            // bounded-progress property, not the enumeration, must flag
             // the starvation.
             if (cfg_.faultStarvesRequest(s.now, req.arrival))
                 continue;
@@ -792,15 +732,13 @@ class Explorer
             // either yields the same successor state.
             if (!seen.insert(req.addr).second)
                 continue;
-            Choice c;
-            c.kind = Choice::Kind::Column;
-            c.isWrite = is_write;
-            c.index = i;
-            c.rank = req.loc.rank;
-            c.bank = req.loc.bank;
-            c.row = req.loc.row;
-            c.col = req.loc.col;
-            out.push_back(c);
+            out.push_back({.kind = Choice::Kind::Column,
+                           .isWrite = is_write,
+                           .slot = slot,
+                           .rank = req.loc.rank,
+                           .bank = req.loc.bank,
+                           .row = req.loc.row,
+                           .col = req.loc.col});
         }
     }
 
@@ -811,10 +749,11 @@ class Explorer
                       std::set<std::pair<unsigned, unsigned>> &preSeen)
         const
     {
-        std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
+        RequestQueue &q = is_write ? s.writeQ : s.readQ;
         const std::size_t window = sched_->prepareWindow(q.size());
-        for (std::size_t i = 0; i < window; ++i) {
-            Request &req = q[i];
+        RequestQueue::Slot slot = q.head();
+        for (std::size_t i = 0; i < window; ++i, slot = q.next(slot)) {
+            Request &req = q.at(slot);
             // Same faulted aged-request skip as the column scan.
             if (cfg_.faultStarvesRequest(s.now, req.arrival))
                 continue;
@@ -834,21 +773,9 @@ class Explorer
                 }
                 if (!bank.canActivate(s.now))
                     break;
-                const WordMask dirty =
-                    is_write            ? mergedWriteMask(s, req)
-                    : req.fullRowFallback ? WordMask::full()
-                                          : scheme_->readActMask(req.addr);
-                unsigned gran =
-                    scheme_->actGranularity(is_write, dirty);
-                if (scheme_->needsMaskCycle(is_write, dirty) &&
-                    gran < cfg_.minActGranularity) {
-                    gran = std::min(cfg_.minActGranularity, kMatGroups);
-                }
-                const double weight =
-                    cfg_.weightedActWindow
-                        ? scheme_->actWeight(gran, cfg_.power)
-                        : 1.0;
-                if (!rank.canActivate(s.now, weight))
+                const dram::ActPlan plan =
+                    scanOf(s).activation(req, is_write);
+                if (!rank.canActivate(s.now, plan.weight))
                     break;
                 // Two requests producing the same activation (same bank,
                 // row and mask) yield identical successors.
@@ -856,18 +783,16 @@ class Explorer
                     (static_cast<std::uint64_t>(req.loc.rank) << 48) |
                     (static_cast<std::uint64_t>(req.loc.bank) << 40) |
                     (static_cast<std::uint64_t>(req.loc.row) << 8) |
-                    scheme_->actMask(is_write, dirty).bits();
+                    plan.openMask.bits();
                 if (!actSeen.insert(key).second)
                     break;
-                Choice c;
-                c.kind = Choice::Kind::Activate;
-                c.isWrite = is_write;
-                c.index = i;
-                c.rank = req.loc.rank;
-                c.bank = req.loc.bank;
-                c.row = req.loc.row;
-                c.partial = scheme_->needsMaskCycle(is_write, dirty);
-                out.push_back(c);
+                out.push_back({.kind = Choice::Kind::Activate,
+                               .isWrite = is_write,
+                               .slot = slot,
+                               .rank = req.loc.rank,
+                               .bank = req.loc.bank,
+                               .row = req.loc.row,
+                               .partial = plan.partial});
                 break;
               }
               case RowProbe::Conflict:
@@ -881,11 +806,9 @@ class Explorer
                 if (!still_useful && bank.canPrecharge(s.now) &&
                     preSeen.insert({req.loc.rank, req.loc.bank})
                         .second) {
-                    Choice c;
-                    c.kind = Choice::Kind::Precharge;
-                    c.rank = req.loc.rank;
-                    c.bank = req.loc.bank;
-                    out.push_back(c);
+                    out.push_back({.kind = Choice::Kind::Precharge,
+                                   .rank = req.loc.rank,
+                                   .bank = req.loc.bank});
                 }
                 break;
               }
@@ -895,11 +818,9 @@ class Explorer
                     bank.canPrecharge(s.now) &&
                     preSeen.insert({req.loc.rank, req.loc.bank})
                         .second) {
-                    Choice c;
-                    c.kind = Choice::Kind::Precharge;
-                    c.rank = req.loc.rank;
-                    c.bank = req.loc.bank;
-                    out.push_back(c);
+                    out.push_back({.kind = Choice::Kind::Precharge,
+                                   .rank = req.loc.rank,
+                                   .bank = req.loc.bank});
                 }
                 break;
             }
@@ -919,18 +840,10 @@ class Explorer
 
         MaintenanceEngine maint(cfg_, s.banks, g_nullHooks);
         maint.setPracState(&s.prac);
-        for (unsigned r : maint.refreshCandidates(s.now)) {
-            Choice c;
-            c.kind = Choice::Kind::Refresh;
-            c.rank = r;
-            out.push_back(c);
-        }
-        for (unsigned r : maint.rfmCandidates(s.now)) {
-            Choice c;
-            c.kind = Choice::Kind::Rfm;
-            c.rank = r;
-            out.push_back(c);
-        }
+        for (unsigned r : maint.refreshCandidates(s.now))
+            out.push_back({.kind = Choice::Kind::Refresh, .rank = r});
+        for (unsigned r : maint.rfmCandidates(s.now))
+            out.push_back({.kind = Choice::Kind::Rfm, .rank = r});
 
         std::set<Addr> colSeen;
         enumerateColumns(s, false, out, colSeen);
@@ -943,189 +856,74 @@ class Explorer
 
         for (const auto &[r, b] : maint.closeCandidates(s.now)) {
             if (preSeen.insert({r, b}).second) {
-                Choice c;
-                c.kind = Choice::Kind::Precharge;
-                c.rank = r;
-                c.bank = b;
-                out.push_back(c);
+                out.push_back(
+                    {.kind = Choice::Kind::Precharge, .rank = r, .bank = b});
             }
         }
     }
 
     // --- Wakeup soundness (DESIGN.md §11.2 contract) ----------------------
 
-    dram::SchedulerInputs
-    inputsOf(const ModelState &s) const
-    {
-        dram::SchedulerInputs in;
-        in.readQueueSize = s.readQ.size();
-        in.writeQueueSize = s.writeQ.size();
-        if (!s.readQ.empty())
-            in.oldestReadArrival = s.readQ.front().arrival;
-        if (!s.writeQ.empty())
-            in.oldestWriteArrival = s.writeQ.front().arrival;
-        return in;
-    }
-
     /**
-     * The wake bounds a quiet controller round's column scan would
-     * note (MemoryController::tryColumnAccess, including the faulted
-     * readBlockedUntil() and aged-request skips — the emulation must
-     * see exactly what the faulted controller sees, so a suppressed
-     * bound is missing here too and the soundness property fires).
-     */
-    template <typename Fn>
-    void
-    scanColumnBounds(ModelState &s, bool is_write, Fn &&consider) const
-    {
-        std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
-        if (!is_write && s.bus.readBlocked(s.now)) {
-            if (!q.empty())
-                consider(s.bus.readBlockedUntil());
-            return;
-        }
-        const std::size_t window = sched_->columnWindow(q.size());
-        for (std::size_t i = 0; i < window; ++i) {
-            Request &req = q[i];
-            if (cfg_.faultStarvesRequest(s.now, req.arrival))
-                continue;
-            const dram::Bank &bank =
-                s.banks.bank(req.loc.rank, req.loc.bank);
-            if (s.banks.probe(req) != RowProbe::Hit)
-                continue;
-            if (bank.autoPrechargePending())
-                continue;
-            if (cfg_.policy == dram::PagePolicy::RestrictedClose &&
-                !req.classified) {
-                continue;
-            }
-            const bool column_ok = is_write ? bank.canWrite(s.now)
-                                            : bank.canRead(s.now);
-            if (!column_ok) {
-                consider(bank.earliestColumnAccess());
-                continue;
-            }
-            if (!s.bus.columnGateOk(req.loc.bank, s.now)) {
-                consider(s.bus.columnGateFreeAt(req.loc.bank));
-                continue;
-            }
-            const Cycle lat =
-                is_write ? cfg_.timing.wl : cfg_.timing.rl();
-            if (!s.bus.dataBusFree(s.now + lat, req.loc.rank)) {
-                const Cycle free_at = s.bus.dataBusFreeAt(req.loc.rank);
-                if (free_at > lat)
-                    consider(free_at - lat);
-                continue;
-            }
-            // Hit-cap rejection is state-gated: no retry bound, exactly
-            // like the controller.
-        }
-    }
-
-    /** Likewise for the prepare scan (MemoryController::tryPrepare). */
-    template <typename Fn>
-    void
-    scanPrepareBounds(ModelState &s, bool is_write, Fn &&consider) const
-    {
-        std::deque<Request> &q = is_write ? s.writeQ : s.readQ;
-        const std::size_t window = sched_->prepareWindow(q.size());
-        for (std::size_t i = 0; i < window; ++i) {
-            Request &req = q[i];
-            if (cfg_.faultStarvesRequest(s.now, req.arrival))
-                continue;
-            const dram::Rank &rank = s.banks.rank(req.loc.rank);
-            const dram::Bank &bank = rank.bank(req.loc.bank);
-            switch (s.banks.probe(req)) {
-              case RowProbe::Closed:
-                if (rank.refreshDue(s.now) || rank.refreshing(s.now)) {
-                    if (rank.refreshing(s.now))
-                        consider(rank.refreshDoneAt());
-                    break;
-                }
-                // ABO is state-gated for the ACT path; the prac_rfm
-                // op's own bound (rfmWakeBound, considered by the
-                // caller) publishes the wake.
-                if (cfg_.pracEnabled &&
-                    s.prac.alertActive(req.loc.rank)) {
-                    break;
-                }
-                if (!bank.canActivate(s.now)) {
-                    consider(bank.earliestActivate());
-                    break;
-                }
-                // At a quiet state the rank-level gate must be what
-                // blocks (else the ACT would have been enumerated).
-                consider(rank.nextActAllowedAt());
-                consider(rank.earliestActWindowExpiry());
-                break;
-              case RowProbe::Conflict:
-              case RowProbe::FalseHit: {
-                const bool still_useful =
-                    s.banks.probe(req) == RowProbe::Conflict &&
-                    cfg_.policy == dram::PagePolicy::RelaxedClose &&
-                    s.banks.openRowMatches(req.loc.rank, req.loc.bank) >
-                        0 &&
-                    bank.hitCount() < cfg_.rowHitCap;
-                if (!still_useful && !bank.canPrecharge(s.now))
-                    consider(bank.earliestPrecharge());
-                break;
-              }
-              case RowProbe::Hit:
-                if (cfg_.policy == dram::PagePolicy::RelaxedClose &&
-                    bank.hitCount() >= cfg_.rowHitCap &&
-                    !bank.canPrecharge(s.now)) {
-                    consider(bank.earliestPrecharge());
-                }
-                break;
-            }
-        }
-    }
-
-    /**
-     * The wake bound the event engine would publish from a quiet round
-     * at @p s: the minimum future cycle over the round's scan-noted
-     * bounds, the scheduler's decision flip, and the maintenance
-     * deadline bound, under noteWake's stale-bound rule (candidates at
-     * or before now are dropped — which is how faultSuppressWakeTwtr
-     * loses the tWTR release).
+     * The wake bound a quiet controller round at @p s publishes, from
+     * the controller's own request scans (RequestScan, faulted gates and
+     * bounds included: a suppressed bound is missing here too, so the
+     * soundness property fires), the scheduler's decision flip, the
+     * maintenance deadline and the prac_rfm op's bound, all under the
+     * stale-bound rule (which is how faultSuppressWakeTwtr loses the
+     * tWTR release). @p s is quiet — the spec enumerates no command — so
+     * a scan that picks one is reported in @p violation.
      *
-     * The emulation scans both queues' prepare bounds even though the
-     * controller scans the secondary queue only when the primary is
-     * empty: extra candidates can only lower the emulated bound, so it
-     * under-approximates the real published bound. A soundness
-     * violation flagged against it is therefore always a violation of
-     * the real engine too (the converse may be missed).
+     * Both queues' scans run, although a round runs the secondary
+     * queue's prepare scan only when the primary queue is empty. The
+     * ground truth, firstChangeAt(), counts a command that *any* policy
+     * may issue, so the bound held against it must cover both queues:
+     * skipping the secondary prepare scan (writesFirst() from the
+     * configured policy) reports a lost wakeup at cycle 17 under frfcfs
+     * and at cycle 45 under fcfs in the unfaulted default exploration.
      */
     Cycle
-    publishedWakeBound(ModelState &s) const
+    publishedWakeBound(ModelState &s, std::string &violation) const
     {
-        Cycle best = kNever;
-        auto consider = [&](Cycle c) {
-            if (c > s.now && c != kNever && c < best)
-                best = c;
-        };
+        // By RequestScan::Pick::Kind.
+        static constexpr const char *kPickNames[] = {"", "column access",
+                                                     "ACT", "PRE"};
+        RequestScan scan = scanOf(s);
         if (s.bus.cmdBusBusy(s.now)) {
-            consider(s.bus.cmdBusFreeAt());
+            scan.noteWake(s.bus.cmdBusFreeAt(), s.now);
         } else {
-            scanColumnBounds(s, false, consider);
-            scanColumnBounds(s, true, consider);
-            scanPrepareBounds(s, false, consider);
-            scanPrepareBounds(s, true, consider);
+            for (const bool is_write : {false, true}) {
+                RequestQueue &q = is_write ? s.writeQ : s.readQ;
+                for (const RequestScan::Pick &pick :
+                     {scan.column(q, is_write, s.now),
+                      scan.prepare(q, is_write, s.now)}) {
+                    if (pick && violation.empty()) {
+                        violation = "cycle " + std::to_string(s.now) +
+                                    ": the controller's scan picks a " +
+                                    kPickNames[static_cast<int>(pick.kind)] +
+                                    " at a state where no command is "
+                                    "legal";
+                    }
+                }
+            }
         }
-        if (!s.readQ.empty() || !s.writeQ.empty())
-            consider(sched_->nextDecisionChangeAt(inputsOf(s), s.now));
+        if (!s.readQ.empty() || !s.writeQ.empty()) {
+            scan.noteWake(sched_->nextDecisionChangeAt(
+                              dram::schedulerInputs(s.readQ, s.writeQ), s.now),
+                          s.now);
+        }
         MaintenanceEngine maint(cfg_, s.banks, g_nullHooks);
         maint.setPracState(&s.prac);
-        consider(maint.nextWakeAt(s.now));
+        scan.noteWake(maint.nextWakeAt(s.now), s.now);
         if (cfg_.pracEnabled) {
             // The prac_rfm op's registered bound, under opWakeBound()'s
             // clamp rule (a bound at or before now wakes at now + 1).
             Cycle c = maint.rfmWakeBound(s.now);
             if (c != kNever && c <= s.now)
                 c = s.now + 1;
-            consider(c);
+            scan.noteWake(c, s.now);
         }
-        return best;
+        return scan.wake();
     }
 
     /**
@@ -1169,7 +967,7 @@ class Explorer
     /**
      * Enumerate @p s's choice set under work conservation and sleep
      * sets, and run the quiet-state obligations: the wakeup-soundness
-     * check against the emulated published bound, and the idle
+     * check against the shipped scans' published bound, and the idle
      * time-leap target (never past the next arrival, the exploration
      * depth, a liveness deadline, or the fingerprint horizon).
      *
@@ -1196,9 +994,9 @@ class Explorer
                 s.now + 1 < cap) {
                 change = firstChangeAt(s, cap);
             }
-            if (opts_.wakeupSoundness && change != kNever) {
-                const Cycle published = publishedWakeBound(s);
-                if (change < published) {
+            if (opts_.wakeupSoundness) {
+                const Cycle published = publishedWakeBound(s, p.violation);
+                if (p.violation.empty() && change < published) {
                     p.violation =
                         "cycle " + std::to_string(s.now) +
                         ": lost wakeup - the legal command set changes "
@@ -1263,6 +1061,24 @@ class Explorer
         return std::min(s.now - r.arrival, opts_.livenessBound + 1);
     }
 
+    /** A queued request's state past its rank and bank. */
+    void
+    addRequest(Fnv1a &h, const ModelState &s, const Request &r) const
+    {
+        h.add(r.loc.row);
+        h.add(r.loc.col);
+        h.add(r.isWrite);
+        h.add(r.mask.bits());
+        // The fallback flag changes the demand of the next ACT, so it is
+        // state; packed above the 8 need bits to keep every pre-existing
+        // fingerprint byte-identical.
+        h.add(r.need.bits() | (r.fullRowFallback ? 0x100u : 0u));
+        // Ages feed the bounded-progress properties, so two states are
+        // future-equivalent only when they agree.
+        if (livenessOn())
+            h.add(ageOf(s, r));
+    }
+
     /** Per-rank liveness registers: the owed-service clock and how far
      *  refresh has run past its deadline, both saturated. */
     void
@@ -1292,24 +1108,12 @@ class Explorer
         Fnv1a h;
         s.banks.fingerprint(h, s.now, kFingerprintHorizon);
         s.bus.fingerprint(h, s.now, kFingerprintHorizon);
-        auto addQueue = [&](const std::deque<Request> &q) {
+        auto addQueue = [&](const RequestQueue &q) {
             h.add(q.size());
-            for (const Request &r : q) {
+            for (const Request &r : q.all()) {
                 h.add(r.loc.rank);
                 h.add(r.loc.bank);
-                h.add(r.loc.row);
-                h.add(r.loc.col);
-                h.add(r.isWrite);
-                h.add(r.mask.bits());
-                // The fallback flag changes the demand of the next ACT,
-                // so it is state; packed above the 8 need bits to keep
-                // every pre-existing fingerprint byte-identical.
-                h.add(r.need.bits() |
-                      (r.fullRowFallback ? 0x100u : 0u));
-                // Ages feed the bounded-progress properties, so two
-                // states are future-equivalent only when they agree.
-                if (livenessOn())
-                    h.add(ageOf(s, r));
+                addRequest(h, s, r);
             }
         };
         addQueue(s.readQ);
@@ -1366,22 +1170,11 @@ class Explorer
                                                kFingerprintHorizon);
                 hb.add(s.banks.queued(r, b));
                 hb.add(s.banks.openRowMatches(r, b));
-                auto addTargeted = [&](const std::deque<Request> &q) {
-                    for (const Request &req : q) {
-                        if (req.loc.rank != r || req.loc.bank != b)
-                            continue;
-                        hb.add(req.loc.row);
-                        hb.add(req.loc.col);
-                        hb.add(req.isWrite);
-                        hb.add(req.mask.bits());
-                        hb.add(req.need.bits() |
-                               (req.fullRowFallback ? 0x100u : 0u));
-                        if (livenessOn())
-                            hb.add(ageOf(s, req));
-                    }
-                };
-                addTargeted(s.readQ);
-                addTargeted(s.writeQ);
+                hb.add(s.banks.uncountedHits(r) >> b & 1u);
+                for (const RequestQueue *q : {&s.readQ, &s.writeQ}) {
+                    for (const Request &req : q->bank(r, b))
+                        addRequest(hb, s, req);
+                }
                 for (std::size_t i = s.nextArrival;
                      i < workload_.size(); ++i) {
                     const ModelRequest &m = workload_[i];
@@ -1455,19 +1248,12 @@ class Explorer
         for (unsigned pos = 0; pos < ranks; ++pos)
             h.add(rank_key[rank_order[pos]]);
         s.bus.fingerprint(h, s.now, kFingerprintHorizon, &rank_ren);
-        auto addQueue = [&](const std::deque<Request> &q) {
+        auto addQueue = [&](const RequestQueue &q) {
             h.add(q.size());
-            for (const Request &req : q) {
+            for (const Request &req : q.all()) {
                 h.add(rank_ren[req.loc.rank]);
                 h.add(bank_ren[req.loc.rank][req.loc.bank]);
-                h.add(req.loc.row);
-                h.add(req.loc.col);
-                h.add(req.isWrite);
-                h.add(req.mask.bits());
-                h.add(req.need.bits() |
-                      (req.fullRowFallback ? 0x100u : 0u));
-                if (livenessOn())
-                    h.add(ageOf(s, req));
+                addRequest(h, s, req);
             }
         };
         addQueue(s.readQ);
@@ -1657,25 +1443,13 @@ PrintTo(Fault f, std::ostream *os)
 bool
 parseFault(const std::string &name, Fault &out)
 {
-    if (name == "none")
-        out = Fault::None;
-    else if (name == "widen_act")
-        out = Fault::WidenAct;
-    else if (name == "ignore_tccd_l")
-        out = Fault::IgnoreTccdL;
-    else if (name == "ignore_twtr")
-        out = Fault::IgnoreTwtr;
-    else if (name == "suppress_wake")
-        out = Fault::SuppressWake;
-    else if (name == "starve_aged")
-        out = Fault::StarveAged;
-    else if (name == "drop_count")
-        out = Fault::DropCount;
-    else if (name == "late_rfm")
-        out = Fault::LateRfm;
-    else
-        return false;
-    return true;
+    for (const Fault f : kAllFaults) {
+        if (name == faultName(f)) {
+            out = f;
+            return true;
+        }
+    }
+    return false;
 }
 
 ModelChecker::ModelChecker(const Options &opts) : opts_(opts) {}

@@ -31,7 +31,12 @@
  *  - wakeup soundness: at every quiet state (nothing legal), the wake
  *    bound the event engine would publish (DESIGN.md §11.2) is no later
  *    than the first cycle at which idling actually changes the legal
- *    command set — a statically explored "no lost wakeup" proof.
+ *    command set — a statically explored "no lost wakeup" proof. The
+ *    bound comes from the controller's own scans (dram::RequestScan),
+ *    run on both queues: the ground truth counts a command any policy
+ *    may issue, and a primary-queue-only prepare scan reports lost
+ *    wakeups on the clean model (DESIGN.md §10.1). A scan that picks a
+ *    command at a quiet state is a violation too.
  *
  * Under a PRAC-enabled model (DESIGN.md §13) a third family —
  * *disturbance safety* — joins in:
@@ -70,7 +75,9 @@
 #ifndef PRA_ANALYSIS_MODEL_CHECKER_H
 #define PRA_ANALYSIS_MODEL_CHECKER_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -92,6 +99,19 @@ enum class Fault
     DropCount,    //!< faultPracDropCount: partial ACTs left uncounted.
     LateRfm,      //!< faultPracLateRfm: RFM released one window too late.
 };
+
+/**
+ * Every Fault, in declaration order (None first). faultName(),
+ * parseFault() and `pra_modelcheck --fault all` read this list, so a new
+ * fault is picked up everywhere by registering it here.
+ */
+inline constexpr Fault kAllFaults[] = {
+    Fault::None,         Fault::WidenAct,   Fault::IgnoreTccdL,
+    Fault::IgnoreTwtr,   Fault::SuppressWake, Fault::StarveAged,
+    Fault::DropCount,    Fault::LateRfm};
+static_assert(std::size(kAllFaults) ==
+                  static_cast<std::size_t>(Fault::LateRfm) + 1,
+              "kAllFaults must list every Fault (LateRfm is the last)");
 
 /** Config-flag spelling of @p f (none, widen_act, ...). */
 const char *faultName(Fault f);

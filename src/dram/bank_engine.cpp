@@ -9,6 +9,7 @@ BankEngine::BankEngine(const DramConfig &cfg) : cfg_(&cfg)
         ranks_.emplace_back(cfg, r);
     bankInfo_.resize(cfg.ranksPerChannel * cfg.banksPerRank);
     rankQueued_.resize(cfg.ranksPerChannel);
+    uncountedHits_.resize(cfg.ranksPerChannel);
 }
 
 void
@@ -20,6 +21,8 @@ BankEngine::fingerprint(Fnv1a &h, Cycle now, Cycle horizon) const
         h.add(bi.queued);
         h.add(bi.openRowMatches);
     }
+    for (const std::uint64_t bits : uncountedHits_)
+        h.add(bits);
 }
 
 } // namespace pra::dram

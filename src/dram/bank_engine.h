@@ -14,6 +14,7 @@
 #define PRA_DRAM_BANK_ENGINE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dram/config.h"
@@ -102,6 +103,23 @@ class BankEngine
             --bi.openRowMatches;
     }
 
+    /**
+     * Write combining replaced queued write @p w's footprint @p old_need.
+     * An empty mask widens to the full row, so OR-ing in a non-empty one
+     * can narrow it, and the write may now hit the open row uncounted.
+     */
+    void
+    onCombine(const Request &w, WordMask old_need)
+    {
+        if (!w.need.covers(old_need))
+            uncountedHits_[w.loc.rank] |= std::uint64_t{1} << w.loc.bank;
+    }
+
+    /** Per rank, bit b: a combine in bank b may have left a row hit out
+     *  of openRowMatches since the bank's last recount, so the FR-FCFS
+     *  column scan walks the bank even when its count reads zero. */
+    std::uint64_t uncountedHits(unsigned r) const { return uncountedHits_[r]; }
+
     /** A precharge closed the row: nothing can hit it any more. */
     void
     onPrecharge(unsigned r, unsigned b)
@@ -114,12 +132,15 @@ class BankEngine
      * changed the open row/mask, with the cached probe. Each of
      * @p queues is a range of Request &; requests of other banks are
      * skipped, so a caller may pass whole queues or just the bank's own
-     * lists. Returns the number of requests examined.
+     * lists. The recount re-probes every request of the bank, so it
+     * clears the bank's uncountedHits() bit. Returns the number of
+     * requests examined.
      */
     template <typename... Queues>
     std::size_t
     recountOpenRowMatches(unsigned r, unsigned b, Queues &&...queues)
     {
+        uncountedHits_[r] &= ~(std::uint64_t{1} << b);
         BankInfo &bi = info(r, b);
         bi.openRowMatches = 0;
         if (!bank(r, b).isOpen())
@@ -140,11 +161,11 @@ class BankEngine
 
     /**
      * Analysis probe seam: fold every rank/bank FSM plus the per-bank
-     * pending-work counters into @p h, timing registers normalized to
-     * @p now and saturated at @p horizon (see Bank::fingerprint). The
-     * per-rank queued sums and the open-bank masks are derived from
-     * those and stay out. Used by the offline model checker
-     * (src/analysis) for state deduplication.
+     * pending-work counters and uncountedHits() bits into @p h, timing
+     * registers normalized to @p now and saturated at @p horizon (see
+     * Bank::fingerprint). The per-rank queued sums and the open-bank
+     * masks are derived from those and stay out. Used by the offline
+     * model checker (src/analysis) for state deduplication.
      */
     void fingerprint(Fnv1a &h, Cycle now, Cycle horizon) const;
 
@@ -168,6 +189,7 @@ class BankEngine
     std::vector<Rank> ranks_;
     std::vector<BankInfo> bankInfo_;
     std::vector<unsigned> rankQueued_;   //!< Sum of queued over a rank.
+    std::vector<std::uint64_t> uncountedHits_;   //!< Per rank, by bank.
 };
 
 } // namespace pra::dram

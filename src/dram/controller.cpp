@@ -1,7 +1,6 @@
 #include "dram/controller.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +42,7 @@ MemoryController::MemoryController(const DramConfig &cfg,
       maint_(cfg, banks_, *this), prac_(cfg),
       readQ_(cfg.ranksPerChannel, cfg.banksPerRank),
       writeQ_(cfg.ranksPerChannel, cfg.banksPerRank),
-      uncountedHitBanks_(cfg.ranksPerChannel, 0),
+      scan_(cfg, banks_, bus_, prac_, *sched_, writeQ_),
       tables_(TimingTables::build(cfg)), replayForce_(cfg.forceRounds)
 {
     if (cfg.enableChecker)
@@ -64,19 +63,6 @@ MemoryController::canAccept(bool is_write) const
 {
     return is_write ? writeQ_.size() < cfg_->writeQueueDepth
                     : readQ_.size() < cfg_->readQueueDepth;
-}
-
-WordMask
-MemoryController::needOf(const Request &req) const
-{
-    // Writes need their dirty words (chip granularity under SDS). Reads
-    // need whatever the scheme says the line demands: the full row for
-    // the paper's schemes (full bandwidth on reads is PRA's asymmetric
-    // design point), the demanded sectors under read-side partial
-    // activation.
-    if (!req.isWrite)
-        return scheme_->readNeed(req.addr);
-    return scheme_->writeNeed(req.mask, req.chipMask);
 }
 
 void
@@ -107,55 +93,13 @@ MemoryController::enqueue(Request req, Cycle now)
                                     req.loc.bank, req.loc.row, req.addr,
                                     req.mask, req.chipMask});
         }
-        // Write combining: coalesce with a queued write to the same line
-        // (queued write addresses are unique).
-        if (Request *w = queuedWrite(req)) {
-            w->mask |= req.mask;
-            w->chipMask |= req.chipMask;
-            // The merged masks can change the write's footprint, so the
-            // cached need/probe are stale.
-            const WordMask old_need = w->need;
-            w->need = needOf(*w);
-            w->probeEpoch = Request::kProbeInvalid;
-            if (!w->need.covers(old_need)) {
-                uncountedHitBanks_[req.loc.rank] |= std::uint64_t{1}
-                                                    << req.loc.bank;
-            }
-            ++writeQueueEpoch_;
-            return;
-        }
-        req.need = needOf(req);
-        ++writeQueueEpoch_;
     } else {
         ++stats_.readReqs;
-        // Forwarding: a read that matches a queued write is served from
-        // the write queue without a DRAM access.
-        if (queuedWrite(req)) {
-            ++stats_.forwardedReads;
-            finished_.push_back({req.tag, req.coreId, req.addr, now + 1,
-                                 1});
-            return;
-        }
-        req.need = needOf(req);
     }
-
-    // Mask-aware accounting: only requests the (possibly partial) open
-    // row can actually serve count as pending hits. The engine's probe
-    // also primes the request's cache for the upcoming scheduler scans.
-    RequestQueue &queue = req.isWrite ? writeQ_ : readQ_;
-    banks_.onEnqueue(queue.at(queue.push(req)));
-}
-
-Request *
-MemoryController::queuedWrite(const Request &req)
-{
-    // An address decodes to one bank, so only that bank's writes can
-    // share it.
-    for (Request &w : writeQ_.bank(req.loc.rank, req.loc.bank)) {
-        if (w.addr == req.addr)
-            return &w;
+    if (admitRequest(*scheme_, banks_, readQ_, writeQ_, req)) {
+        ++stats_.forwardedReads;
+        finished_.push_back({req.tag, req.coreId, req.addr, now + 1, 1});
     }
-    return nullptr;
 }
 
 void
@@ -191,62 +135,36 @@ MemoryController::classify(Request &req, RowProbe probe)
     }
 }
 
-WordMask
-MemoryController::mergedWriteMask(Request &req)
+bool
+MemoryController::issue(RequestQueue &queue, bool is_write,
+                        const RequestScan::Pick &pick, Cycle now)
 {
-    if (req.mergedMaskEpoch == writeQueueEpoch_)
-        return req.cachedMergedMask;
-    // "PRA masks are ORed to activate partial rows as many as possible to
-    //  accommodate all requests targeting the same row" (Section 5.2.1).
-    // Same-row writes share the bank, and its list keeps their age order.
-    WordMask merged = WordMask::none();
-    for (const Request &w : writeQ_.bank(req.loc.rank, req.loc.bank)) {
-        ++engineStats_.queueVisits;
-        if (!w.loc.sameRow(req.loc))
-            continue;
-        merged |= scheme_->writeMask(w.mask, w.chipMask);
-        if (!cfg_->mergeWriteMasks)
-            break;   // Ablation: only the oldest same-row write's mask.
+    if (pick.slot != RequestQueue::kEnd)
+        classify(queue.at(pick.slot), pick.probe);
+    switch (pick.kind) {
+      case RequestScan::Pick::Kind::None:
+        return false;
+      case RequestScan::Pick::Kind::Column:
+        issueColumn(queue, pick.slot, is_write, now);
+        break;
+      case RequestScan::Pick::Kind::Activate:
+        issueActivate(queue.at(pick.slot), is_write, pick.plan, now);
+        break;
+      case RequestScan::Pick::Kind::Precharge:
+        issuePrecharge(pick.rank, pick.bank, now);
+        break;
     }
-    req.cachedMergedMask = merged.empty() ? WordMask::full() : merged;
-    req.mergedMaskEpoch = writeQueueEpoch_;
-    return req.cachedMergedMask;
-}
-
-SchedulerInputs
-MemoryController::schedulerInputs() const
-{
-    SchedulerInputs in;
-    in.readQueueSize = readQ_.size();
-    in.writeQueueSize = writeQ_.size();
-    if (!readQ_.empty())
-        in.oldestReadArrival = readQ_.front().arrival;
-    if (!writeQ_.empty())
-        in.oldestWriteArrival = writeQ_.front().arrival;
-    return in;
+    return true;
 }
 
 void
-MemoryController::issueActivate(Request &req, bool is_write, Cycle now)
+MemoryController::issueActivate(Request &req, bool is_write,
+                                const ActPlan &plan, Cycle now)
 {
     roundActivity_ = true;
     Rank &rank = banks_.rank(req.loc.rank);
-
-    // Demand driving this activation: the merged dirty-word mask for
-    // writes, the scheme's (speculative) read mask — or the full row
-    // once a false hit burned the prediction — for reads.
-    WordMask demand = is_write ? mergedWriteMask(req)
-                      : req.fullRowFallback
-                          ? WordMask::full()
-                          : scheme_->readActMask(req.addr);
-    unsigned gran = scheme_->actGranularity(is_write, demand);
-    WordMask open_mask = scheme_->actMask(is_write, demand);
-    const bool partial = scheme_->needsMaskCycle(is_write, demand);
-    if (partial && gran < cfg_->minActGranularity)
-        gran = std::min(cfg_->minActGranularity, kMatGroups);
-    const double weight = cfg_->weightedActWindow
-                              ? scheme_->actWeight(gran, cfg_->power)
-                              : 1.0;
+    const unsigned gran = plan.granularity;
+    WordMask open_mask = plan.openMask;
     // Deliberate fault injection (tests only): widen the opened mask
     // behind the scheme's back so the auditor must catch the mismatch.
     if (cfg_->auditFaultWidenAct != 0)
@@ -255,24 +173,25 @@ MemoryController::issueActivate(Request &req, bool is_write, Cycle now)
     if (checker_) {
         checker_->observe({CheckedCommand::Kind::Activate, now,
                            req.loc.rank, req.loc.bank, req.loc.row,
-                           partial, weight, 0});
+                           plan.partial, plan.weight, 0});
     }
-    rank.activateBank(req.loc.bank, now, req.loc.row, open_mask, partial);
-    rank.recordActivation(now, weight);
-    prac_.onActivate(req.loc.rank, req.loc.bank, req.loc.row, partial, now);
+    rank.activateBank(req.loc.bank, now, req.loc.row, open_mask,
+                      plan.partial);
+    rank.recordActivation(now, plan.weight);
+    prac_.onActivate(req.loc.rank, req.loc.bank, req.loc.row, plan.partial,
+                     now);
     if (audit_) {
         audit_->onCommand({verify::DramCommandEvent::Kind::Activate, now,
                            channelId_, req.loc.rank, req.loc.bank,
                            req.loc.row, req.addr, open_mask,
-                           WordMask::none(), partial, is_write, gran,
-                           weight, prac_.trackedSum(req.loc.rank), 0});
+                           WordMask::none(), plan.partial, is_write, gran,
+                           plan.weight, prac_.trackedSum(req.loc.rank), 0});
     }
 
     // A partial activation occupies the command/address bus one extra
     // cycle to transfer the PRA mask (paper Fig. 7a).
-    bus_.holdCmdBus(
-        now,
-        partial ? static_cast<unsigned>(tables_.channel.maskCycles) : 0u);
+    const auto mask_cycles = static_cast<unsigned>(tables_.channel.maskCycles);
+    bus_.holdCmdBus(now, plan.partial ? mask_cycles : 0u);
 
     trace(now, channelId_, "ACT", req.loc.rank, req.loc.bank, req.loc.row,
           gran);
@@ -285,9 +204,6 @@ MemoryController::issueActivate(Request &req, bool is_write, Cycle now)
         stats_.readActGranularity.record(gran);
     }
 
-    // The recount re-probes every request of the bank, so any hit a
-    // footprint-shrinking combine left uncounted is counted again.
-    uncountedHitBanks_[req.loc.rank] &= ~(std::uint64_t{1} << req.loc.bank);
     engineStats_.queueVisits += banks_.recountOpenRowMatches(
         req.loc.rank, req.loc.bank, readQ_.bank(req.loc.rank, req.loc.bank),
         writeQ_.bank(req.loc.rank, req.loc.bank));
@@ -300,8 +216,6 @@ MemoryController::issueColumn(RequestQueue &queue, RequestQueue::Slot slot,
     roundActivity_ = true;
     const Request req = queue.at(slot);
     queue.erase(slot);
-    if (is_write)
-        ++writeQueueEpoch_;
 
     Rank &rank = banks_.rank(req.loc.rank);
     Bank &bank = rank.bank(req.loc.bank);
@@ -363,22 +277,9 @@ void
 MemoryController::issuePrecharge(unsigned rank_id, unsigned bank_id,
                                  Cycle now)
 {
-    roundActivity_ = true;
     trace(now, channelId_, "PRE", rank_id, bank_id, 0, 0);
-    if (checker_) {
-        checker_->observe({CheckedCommand::Kind::Precharge, now, rank_id,
-                           bank_id, 0, false, 0.0, 0});
-    }
-    banks_.rank(rank_id).prechargeBank(bank_id, now);
     bus_.holdCmdBus(now);
-    ++stats_.precharges;
-    banks_.onPrecharge(rank_id, bank_id);
-    if (audit_) {
-        audit_->onCommand({verify::DramCommandEvent::Kind::Precharge, now,
-                           channelId_, rank_id, bank_id, 0, 0,
-                           WordMask::none(), WordMask::none(), false,
-                           false, 0, 0.0});
-    }
+    issueAutoPrecharge(rank_id, bank_id, now);
 }
 
 void
@@ -386,7 +287,8 @@ MemoryController::issueAutoPrecharge(unsigned rank_id, unsigned bank_id,
                                      Cycle now)
 {
     // Auto-precharge (restricted close-page) is encoded in the column
-    // command (RDA/WRA), so it consumes no command-bus slot.
+    // command (RDA/WRA), so it consumes no command-bus slot; an explicit
+    // PRE is the same command plus one.
     roundActivity_ = true;
     if (checker_) {
         checker_->observe({CheckedCommand::Kind::Precharge, now, rank_id,
@@ -445,233 +347,6 @@ MemoryController::issueRfm(unsigned rank_id, Cycle now)
                            false, 0, 0.0, prac_.trackedSum(rank_id),
                            mit.cleared});
     }
-}
-
-bool
-MemoryController::columnCandidate(Request &req, Cycle now)
-{
-    ++engineStats_.queueVisits;
-    // Test-only fault: a saturating age-priority counter inverts, so the
-    // scan skips requests past the age threshold forever. The model
-    // checker's bounded-progress property catches this.
-    if (cfg_->faultStarvesRequest(now, req.arrival))
-        return false;
-    // State-gated rejections (row miss, pending auto-precharge,
-    // unclassified, exhausted hit budget) need no retry bound: the
-    // enabling change is itself a command or arrival, which forces a
-    // round. Time-gated rejections note the exact release cycle.
-    if (banks_.probe(req) != RowProbe::Hit)
-        return false;
-    // Restricted close-page: the classified check keeps ACT + column +
-    // PRE atomic: only the request whose activation opened the row
-    // (classified at ACT time) may use it.
-    return cfg_->policy != PagePolicy::RestrictedClose || req.classified;
-}
-
-bool
-MemoryController::columnBankReady(const Request &req, bool is_write,
-                                  Cycle now)
-{
-    const Bank &bank = banks_.bank(req.loc.rank, req.loc.bank);
-    // Restricted close-page: the auto-precharge is encoded in the
-    // previous column command (RDA/WRA), so the row is already committed
-    // to close — no further hits may ride on it.
-    if (bank.autoPrechargePending())
-        return false;
-    const bool column_ok = is_write ? bank.canWrite(now) : bank.canRead(now);
-    if (!column_ok) {
-        noteWake(bank.earliestColumnAccess(), now);
-        return false;
-    }
-    // DDR4 bank groups: back-to-back column commands to the same group
-    // must honor the long tCCD_L; across groups tCCD(_S) applies at the
-    // channel level.
-    if (!bus_.columnGateOk(req.loc.bank, now)) {
-        noteWake(bus_.columnGateFreeAt(req.loc.bank), now);
-        return false;
-    }
-    const Cycle lat = is_write ? tables_.channel.writeLatency
-                               : tables_.channel.readLatency;
-    if (!bus_.dataBusFree(now + lat, req.loc.rank)) {
-        noteWake(bus_.dataBusFreeAt(req.loc.rank) - lat, now);
-        return false;
-    }
-    // An exhausted hit budget must re-activate; close + prepare handle it.
-    return cfg_->policy != PagePolicy::RelaxedClose ||
-           bank.hitCount() < cfg_->rowHitCap;
-}
-
-bool
-MemoryController::tryColumnAccess(RequestQueue &queue, bool is_write,
-                                  Cycle now)
-{
-    if (queue.empty())
-        return false;
-    if (!is_write && bus_.readBlocked(now)) {
-        noteWake(bus_.readBlockedUntil(), now);
-        return false;
-    }
-    using Slot = RequestQueue::Slot;
-    const std::size_t window = sched_->columnWindow(queue.size());
-    if (window < queue.size()) {
-        // A short window (FCFS): the oldest requests, in age order.
-        Slot s = queue.head();
-        for (std::size_t i = 0; i < window; ++i, s = queue.next(s)) {
-            Request &req = queue.at(s);
-            if (columnCandidate(req, now) &&
-                columnBankReady(req, is_write, now)) {
-                classify(req, RowProbe::Hit);
-                issueColumn(queue, s, is_write, now);
-                return true;
-            }
-        }
-        return false;
-    }
-    // The whole queue (FR-FCFS): the oldest request that passes every
-    // gate. A row hit needs an open bank whose open-row count is non-zero
-    // (the count never misses a real hit, DESIGN.md §9), so only those
-    // banks are walked. The bank gates are the same for every request of
-    // a bank, so each bank offers its oldest candidate that passes them,
-    // and the oldest offer issues.
-    Slot best = RequestQueue::kEnd;
-    for (unsigned r = 0; r < banks_.numRanks(); ++r) {
-        const std::uint64_t uncounted = uncountedHitBanks_[r];
-        for (std::uint64_t open = banks_.rank(r).openBanks(); open != 0;
-             open &= open - 1) {
-            const auto b = static_cast<unsigned>(std::countr_zero(open));
-            if (banks_.openRowMatches(r, b) == 0 &&
-                !(uncounted >> b & 1u)) {
-                continue;
-            }
-            for (Slot s = queue.bankHead(r, b); s != RequestQueue::kEnd;
-                 s = queue.bankNext(s)) {
-                // Younger than the best offer so far: nothing further
-                // down this bank's list can win.
-                if (best != RequestQueue::kEnd &&
-                    queue.seq(s) > queue.seq(best)) {
-                    break;
-                }
-                Request &req = queue.at(s);
-                if (!columnCandidate(req, now))
-                    continue;
-                if (columnBankReady(req, is_write, now))
-                    best = s;
-                break;
-            }
-        }
-    }
-    if (best == RequestQueue::kEnd)
-        return false;
-    classify(queue.at(best), RowProbe::Hit);
-    issueColumn(queue, best, is_write, now);
-    return true;
-}
-
-bool
-MemoryController::tryPrepare(RequestQueue &queue, bool is_write, Cycle now)
-{
-    // The policy bounds how deep the prepare scan may look past the
-    // oldest request (FR-FCFS: a small window; FCFS: the head only).
-    const std::size_t window = sched_->prepareWindow(queue.size());
-    RequestQueue::Slot s = queue.head();
-    for (std::size_t i = 0; i < window; ++i, s = queue.next(s)) {
-        Request &req = queue.at(s);
-        ++engineStats_.queueVisits;
-        // Same test-only aged-request fault as the column scan.
-        if (cfg_->faultStarvesRequest(now, req.arrival))
-            continue;
-        Rank &rank = banks_.rank(req.loc.rank);
-        Bank &bank = rank.bank(req.loc.bank);
-        const RowProbe probe = banks_.probe(req);
-
-        switch (probe) {
-          case RowProbe::Closed: {
-            if (rank.refreshDue(now) || rank.refreshing(now)) {
-                // A due refresh issues inside a round (maintenance wake
-                // bound covers it); an in-progress one releases at tRFC.
-                if (rank.refreshing(now))
-                    noteWake(rank.refreshDoneAt(), now);
-                break;   // Let the rank drain for refresh.
-            }
-            // Alert Back-Off: while a PRAC alert is pending, no further
-            // ACT may issue to the rank until RFM clears it. State-gated
-            // (the alert only clears via the RFM command, which runs
-            // inside a round); tRFM blocking is noted like tRFC below.
-            if (prac_.alertActive(req.loc.rank))
-                break;
-            if (rank.rfmBusy(now)) {
-                noteWake(rank.rfmDoneAt(), now);
-                break;
-            }
-            // The bank gate needs no mask, so check it before the (write-
-            // queue scanning) merged-mask / weight derivation.
-            if (!bank.canActivate(now)) {
-                noteWake(bank.earliestActivate(), now);
-                break;
-            }
-            WordMask demand = is_write ? mergedWriteMask(req)
-                              : req.fullRowFallback
-                                  ? WordMask::full()
-                                  : scheme_->readActMask(req.addr);
-            unsigned gran = scheme_->actGranularity(is_write, demand);
-            if (scheme_->needsMaskCycle(is_write, demand) &&
-                gran < cfg_->minActGranularity) {
-                gran = std::min(cfg_->minActGranularity, kMatGroups);
-            }
-            const double weight =
-                cfg_->weightedActWindow
-                    ? scheme_->actWeight(gran, cfg_->power)
-                    : 1.0;
-            if (rank.canActivate(now, weight)) {
-                classify(req, probe);
-                issueActivate(req, is_write, now);
-                return true;
-            }
-            // Rank-level gate: either tRRD or the (weighted) tFAW window
-            // blocks; both release at register-known cycles.
-            noteWake(rank.nextActAllowedAt(), now);
-            noteWake(rank.earliestActWindowExpiry(), now);
-            break;
-          }
-          case RowProbe::Conflict:
-          case RowProbe::FalseHit: {
-            // Close the current row — but under the relaxed policy only
-            // once it has no pending hits left (or its budget is spent),
-            // so younger row hits are not squandered. A false hit always
-            // precharges: the partially opened row cannot serve this
-            // request and the re-activation's (full or merged) footprint
-            // covers every same-row request (paper Section 5.2.1).
-            const bool still_useful =
-                probe == RowProbe::Conflict &&
-                cfg_->policy == PagePolicy::RelaxedClose &&
-                banks_.openRowMatches(req.loc.rank, req.loc.bank) > 0 &&
-                bank.hitCount() < cfg_->rowHitCap;
-            if (!still_useful) {
-                if (bank.canPrecharge(now)) {
-                    classify(req, probe);
-                    issuePrecharge(req.loc.rank, req.loc.bank, now);
-                    return true;
-                }
-                // tRAS/tWR/tRTP gate; still_useful is state-gated (its
-                // hits drain inside rounds) and needs no bound.
-                noteWake(bank.earliestPrecharge(), now);
-            }
-            break;
-          }
-          case RowProbe::Hit:
-            if (cfg_->policy == PagePolicy::RelaxedClose &&
-                bank.hitCount() >= cfg_->rowHitCap) {
-                if (bank.canPrecharge(now)) {
-                    // Hit-budget exhausted: close so it can re-activate.
-                    issuePrecharge(req.loc.rank, req.loc.bank, now);
-                    return true;
-                }
-                noteWake(bank.earliestPrecharge(), now);
-            }
-            break;   // Column path (or pending auto-PRE) handles it.
-        }
-    }
-    return false;
 }
 
 void
@@ -735,7 +410,7 @@ MemoryController::tick(Cycle now)
         ++engineStats_.eventsPopped;
 
     roundActivity_ = false;
-    scanWake_ = kNever;
+    scan_.clearWake();
     ++engineStats_.rounds;
     // The policy observes queue occupancy on every round. Rounds the
     // event engine skips have unchanged queue sizes (an enqueue always
@@ -743,7 +418,7 @@ MemoryController::tick(Cycle now)
     // the skipped cycles is exactly what one application computes here.
     // Nothing before the round's first command touches the queues, and a
     // quiet round issues none, so the same inputs serve publishWakeups.
-    const SchedulerInputs inputs = schedulerInputs();
+    const SchedulerInputs inputs = schedulerInputs(readQ_, writeQ_);
     runRound(now, inputs);
     if (forced_quiet && audit_)
         audit_->onEventRound(now, nextWake_, roundActivity_);
@@ -793,7 +468,7 @@ MemoryController::runRound(Cycle now, const SchedulerInputs &inputs)
     if (bus_.cmdBusBusy(now)) {
         // Nothing below can issue until the slot frees; the retry bound
         // is exact (auto-precharges ran above).
-        noteWake(bus_.cmdBusFreeAt(), now);
+        scan_.noteWake(bus_.cmdBusFreeAt(), now);
         return;
     }
 
@@ -810,16 +485,23 @@ MemoryController::runRound(Cycle now, const SchedulerInputs &inputs)
     RequestQueue &secondary = writes_first ? readQ_ : writeQ_;
     const bool primary_is_write = writes_first;
 
-    if (tryColumnAccess(primary, primary_is_write, now))
+    if (issue(primary, primary_is_write,
+              scan_.column(primary, primary_is_write, now), now)) {
         return;
+    }
     // Opportunistic hits from the other queue keep the bus busy without
     // reordering ahead of the primary class's prepare commands.
-    if (tryColumnAccess(secondary, !primary_is_write, now))
+    if (issue(secondary, !primary_is_write,
+              scan_.column(secondary, !primary_is_write, now), now)) {
         return;
-    if (tryPrepare(primary, primary_is_write, now))
+    }
+    if (issue(primary, primary_is_write,
+              scan_.prepare(primary, primary_is_write, now), now)) {
         return;
+    }
     if (secondary.size() > 0 && primary.empty() &&
-        tryPrepare(secondary, !primary_is_write, now)) {
+        issue(secondary, !primary_is_write,
+              scan_.prepare(secondary, !primary_is_write, now), now)) {
         return;
     }
     maint_.tryMaintenanceClose(now);
@@ -838,13 +520,13 @@ MemoryController::publishWakeups(Cycle now, const SchedulerInputs &inputs)
     };
     // The quiet round that just ran is itself the wake-bound scan: every
     // gate that rejected a candidate noted its exact release cycle in
-    // scanWake_ (DESIGN.md §11). Only the layers whose next event needs
+    // scan_.wake() (DESIGN.md §11). Only the layers whose next event needs
     // no request scan are added here — the scheduler's time-driven
     // decision flips and the maintenance engine's deadline bound.
     // State-gated rejections (row miss, pending auto-precharge,
     // still-useful row) need no retry candidate: their enabling change
     // is itself a command or arrival, which forces a round.
-    consider(scanWake_);
+    consider(scan_.wake());
     if (!readQ_.empty() || !writeQ_.empty())
         consider(sched_->nextDecisionChangeAt(inputs, now));
     consider(maint_.nextWakeAt(now));

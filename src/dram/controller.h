@@ -18,11 +18,14 @@
  *    maintenance operations (PRAC-style alerts, TRR, scrubbing).
  *
  * The controller itself keeps the queues (RequestQueue: per-bank age
- * lists; write combining, read forwarding, merged PRA masks) and the
- * command *mechanisms* — issuing
+ * lists), the round order and the command *mechanisms* — issuing
  * ACT/column/PRE/REF with stats, energy events, checker and auditor
- * reporting. The default FR-FCFS configuration is bit-identical to the
- * pre-decomposition monolith (pinned by test_golden_equivalence.cpp).
+ * reporting. The request scans that pick a round's command (admission
+ * with write combining and read forwarding, the column and prepare
+ * walks, merged PRA masks and the activation plan) are a RequestScan,
+ * which the model checker runs too. The default FR-FCFS configuration
+ * is bit-identical to the pre-decomposition monolith (pinned by
+ * test_golden_equivalence.cpp).
  *
  * Baseline behaviour: FR-FCFS scheduling with reads prioritized over
  * writes, separate 64-entry read/write queues with 48/16 write-drain
@@ -61,6 +64,7 @@
 #include "dram/prac.h"
 #include "dram/request.h"
 #include "dram/request_queue.h"
+#include "dram/request_scan.h"
 #include "dram/sched/scheduler_policy.h"
 #include "dram/timing_tables.h"
 #include "power/power_model.h"
@@ -243,12 +247,14 @@ class MemoryController : private MaintenanceHooks
         return energy_;
     }
 
-    /** Event-engine counters, with the maintenance engine's work count. */
+    /** Event-engine counters, with the maintenance engine's and the
+     *  scans' work counts. */
     EngineStats
     engineStats() const
     {
         EngineStats s = engineStats_;
         s.maintBankVisits = maint_.bankVisits();
+        s.queueVisits += scan_.visits();
         return s;
     }
 
@@ -282,34 +288,15 @@ class MemoryController : private MaintenanceHooks
     void attachAuditor(verify::Auditor *auditor) { audit_ = auditor; }
 
   private:
-    WordMask needOf(const Request &req) const;
     void classify(Request &req, RowProbe probe);
 
-    /** The queued write to @p req's address, or null (for combining and
-     *  forwarding). */
-    Request *queuedWrite(const Request &req);
+    /** Issue what a scan of @p queue picked; false when it picked
+     *  nothing. */
+    bool issue(RequestQueue &queue, bool is_write,
+               const RequestScan::Pick &pick, Cycle now);
 
-    /** Queue occupancy snapshot handed to the scheduler policy. */
-    SchedulerInputs schedulerInputs() const;
-
-    bool tryColumnAccess(RequestQueue &queue, bool is_write, Cycle now);
-    bool tryPrepare(RequestQueue &queue, bool is_write, Cycle now);
-
-    /**
-     * The column scan's gates on one request: not fault-starved, a row
-     * hit under the cached probe, and (restricted close-page) the
-     * request whose ACT opened the row.
-     */
-    bool columnCandidate(Request &req, Cycle now);
-    /**
-     * The column scan's gates shared by every request of @p req's bank:
-     * no pending auto-precharge, bank column timing, the bank-group
-     * column gate, the data bus and the row-hit cap. Notes the release
-     * cycle of a blocking timing gate.
-     */
-    bool columnBankReady(const Request &req, bool is_write, Cycle now);
-
-    void issueActivate(Request &req, bool is_write, Cycle now);
+    void issueActivate(Request &req, bool is_write, const ActPlan &plan,
+                       Cycle now);
     void issueColumn(RequestQueue &queue, RequestQueue::Slot slot,
                      bool is_write, Cycle now);
 
@@ -320,12 +307,6 @@ class MemoryController : private MaintenanceHooks
                             Cycle now) override;
     void issueRefresh(unsigned rank_id, Cycle now) override;
     void issueRfm(unsigned rank_id, Cycle now) override;
-
-    /**
-     * OR of PRA masks of every queued write to @p req's row, cached per
-     * request and invalidated by writeQueueEpoch_.
-     */
-    WordMask mergedWriteMask(Request &req);
 
     void accountBackground(Cycle now);
 
@@ -352,8 +333,8 @@ class MemoryController : private MaintenanceHooks
      * there are none). Called after every quiet round; the invariant
      * nextWake_ > now holds on return. The candidates are exact, not
      * conservative: the quiet round's failing scans record the release
-     * cycle of each gate that blocked a scanned request (scanWake_), and
-     * the layers publish their own next decisions — the maintenance
+     * cycle of each gate that blocked a scanned request (scan_.wake()),
+     * and the layers publish their own next decisions — the maintenance
      * engine's nextWakeAt() (refresh deadlines, blocked closes,
      * auto-precharge retirements) and the scheduler's time-driven
      * selection flip. Everything else that could enable work is itself
@@ -363,20 +344,6 @@ class MemoryController : private MaintenanceHooks
      * snapshot, still current because the round issued nothing.
      */
     void publishWakeups(Cycle now, const SchedulerInputs &inputs);
-
-    /**
-     * Record an exact retry cycle for a gate that blocked this round.
-     * Bounds at or before @p now are stale — a gate register can sit in
-     * the past while a *different* predicate (e.g. the weighted tFAW
-     * sum behind an expired tRRD) does the blocking — and must not
-     * shadow the real future bounds under the single-min collapse.
-     */
-    void
-    noteWake(Cycle c, Cycle now)
-    {
-        if (c > now && c < scanWake_)
-            scanWake_ = c;
-    }
 
     /** Sentinel wake cycle: nothing scheduled. */
     static constexpr Cycle kNever = ~Cycle{0};
@@ -395,16 +362,9 @@ class MemoryController : private MaintenanceHooks
 
     RequestQueue readQ_;
     RequestQueue writeQ_;
-    /**
-     * Per rank, bit b: a write combine in bank b shrank a write's
-     * footprint (an empty mask widens to the full row, so OR-ing in a
-     * non-empty one narrows it) since the bank's last ACT, so a row hit
-     * there may be missing from openRowMatches. The FR-FCFS column scan
-     * walks such a bank even when its count reads zero.
-     */
-    std::vector<std::uint64_t> uncountedHitBanks_;
-    /** Bumped whenever writeQ_ membership or masks change. */
-    std::uint64_t writeQueueEpoch_ = 0;
+    /** The request scans over the layers and queues above; their noted
+     *  wake is the round's scan bound. */
+    RequestScan scan_;
 
     std::vector<Completion> inflight_;  //!< Reads waiting for data.
     std::vector<Completion> finished_;
@@ -422,7 +382,6 @@ class MemoryController : private MaintenanceHooks
     Cycle nextFinish_ = kNever; //!< Earliest in-flight read finish.
     EngineStats engineStats_;
     bool roundActivity_ = false; //!< Set when the current round acts.
-    Cycle scanWake_ = kNever; //!< Min gate release noted by this round.
     Cycle bgFrom_ = 0;        //!< First cycle with unaccounted background.
     Cycle bgPending_ = 0;     //!< End (exclusive) of the deferred window.
 };

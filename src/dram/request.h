@@ -76,10 +76,10 @@ struct Request
     RowProbe cachedProbe = RowProbe::Closed;
 
     /**
-     * Cached merged same-row write mask: valid while the controller's
-     * write-queue epoch (bumped on any write enqueue/combine/dequeue)
-     * matches, so repeated FR-FCFS prepare scans during a write drain do
-     * not rescan the whole write queue per request per cycle.
+     * Cached merged same-row write mask: valid while the write queue's
+     * epoch (moved by any write enqueue/combine/dequeue) matches, so
+     * repeated FR-FCFS prepare scans during a write drain do not rescan
+     * the write queue per request per cycle.
      */
     WordMask cachedMergedMask = WordMask::full();
     /** Write-queue epoch the cached merged mask was taken against. */

@@ -52,38 +52,39 @@ class RequestQueue
         Slot tail = kEnd;
     };
 
-  public:
-    /** One bank's requests as a forward range of Request &, oldest first. */
-    class BankRange
+    /** One of the queue's lists as a forward range of requests. */
+    template <typename Queue, Slot Node::*Link>
+    class Range
     {
       public:
         class iterator
         {
           public:
-            iterator(RequestQueue *q, Slot s) : q_(q), s_(s) {}
-            Request &operator*() const { return q_->nodes_[s_].req; }
+            iterator(Queue *q, Slot s) : q_(q), s_(s) {}
+            auto &operator*() const { return q_->nodes_[s_].req; }
             iterator &
             operator++()
             {
-                s_ = q_->nodes_[s_].bankNext;
+                s_ = q_->nodes_[s_].*Link;
                 return *this;
             }
             bool operator==(const iterator &o) const { return s_ == o.s_; }
 
           private:
-            RequestQueue *q_;
+            Queue *q_;
             Slot s_;
         };
 
-        BankRange(RequestQueue *q, Slot first) : q_(q), first_(first) {}
+        Range(Queue *q, Slot first) : q_(q), first_(first) {}
         iterator begin() const { return {q_, first_}; }
         iterator end() const { return {q_, kEnd}; }
 
       private:
-        RequestQueue *q_;
+        Queue *q_;
         Slot first_;
     };
 
+  public:
     RequestQueue(unsigned ranks, unsigned banks_per_rank)
         : banksPerRank_(banks_per_rank), banks_(ranks * banks_per_rank)
     {
@@ -96,6 +97,7 @@ class RequestQueue
     const Request &front() const { return nodes_[all_.head].req; }
 
     Request &at(Slot s) { return nodes_[s].req; }
+    const Request &at(Slot s) const { return nodes_[s].req; }
 
     /** Age key of the request in @p s: smaller is older. */
     std::uint64_t seq(Slot s) const { return nodes_[s].seq; }
@@ -111,7 +113,34 @@ class RequestQueue
     }
     Slot bankNext(Slot s) const { return nodes_[s].bankNext; }
 
-    BankRange bank(unsigned r, unsigned b) { return {this, bankHead(r, b)}; }
+    /** Every queued request, oldest first. */
+    Range<RequestQueue, &Node::next> all() { return {this, head()}; }
+    Range<const RequestQueue, &Node::next>
+    all() const
+    {
+        return {this, head()};
+    }
+
+    /** Bank (@p r, @p b)'s requests, oldest first. */
+    Range<RequestQueue, &Node::bankNext>
+    bank(unsigned r, unsigned b)
+    {
+        return {this, bankHead(r, b)};
+    }
+    Range<const RequestQueue, &Node::bankNext>
+    bank(unsigned r, unsigned b) const
+    {
+        return {this, bankHead(r, b)};
+    }
+
+    /**
+     * Bumped by every push() and erase() and by touch(): a cache keyed
+     * on it (the merged write mask) is stale once it moves.
+     */
+    std::uint64_t epoch() const { return epoch_; }
+
+    /** A queued request's masks changed in place (write combining). */
+    void touch() { ++epoch_; }
 
     /**
      * Queue @p req as the youngest request overall and in its bank
@@ -138,6 +167,7 @@ class RequestQueue
         link(all_, s, n.prev, &Node::next);
         link(bank, s, n.bankPrev, &Node::bankNext);
         ++size_;
+        ++epoch_;
         return s;
     }
 
@@ -154,6 +184,7 @@ class RequestQueue
         n.next = free_;
         free_ = s;
         --size_;
+        ++epoch_;
     }
 
   private:
@@ -189,6 +220,7 @@ class RequestQueue
     Slot free_ = kEnd;          //!< Free slots, chained through next.
     std::size_t size_ = 0;
     std::uint64_t nextSeq_ = 0;
+    std::uint64_t epoch_ = 0;
 };
 
 } // namespace pra::dram

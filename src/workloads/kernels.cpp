@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <utility>
 
 namespace pra::workloads {
@@ -78,6 +79,9 @@ LinkedList::LinkedList(std::size_t nodes, unsigned gap,
                        double store_fraction, std::uint64_t seed)
     : gap_(gap), storeFraction_(store_fraction), rng_(seed)
 {
+    // The first next() reads the table, so it needs a node.
+    if (nodes == 0)
+        throw std::invalid_argument("LinkedList: zero nodes");
     // Sattolo's algorithm: a single random cycle through all nodes.
     nextIndex_ = std::make_shared<const std::vector<std::uint32_t>>(
         shuffledIdentity(nodes, Shuffle::Sattolo, rng_));
@@ -116,6 +120,9 @@ LinkedList::next()
 Em3d::Em3d(std::size_t nodes, unsigned gap, std::uint64_t seed)
     : nodes_(nodes), gap_(gap), rng_(seed)
 {
+    // The first next() reads the table and steps modulo its size.
+    if (nodes == 0)
+        throw std::invalid_argument("em3d: zero nodes");
     // Nodes are visited in shuffled order, as the Olden allocator
     // interleaves E and H nodes across the heap.
     visitOrder_ = std::make_shared<const std::vector<std::uint32_t>>(

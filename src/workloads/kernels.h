@@ -72,7 +72,8 @@ class Gups : public cpu::Generator
  * LinkedList: Zilles-style list traversal. Nodes are one cache line and
  * are linked in a random permutation, so every hop is a dependent
  * (serializing) load to an unpredictable line; a fraction of visits
- * stores one payload word into the node.
+ * stores one payload word into the node. Zero nodes throw
+ * std::invalid_argument.
  */
 class LinkedList : public cpu::Generator
 {
@@ -109,7 +110,8 @@ class LinkedList : public cpu::Generator
  * em3d (Olden): electromagnetic wave propagation on a bipartite graph.
  * Each step visits a node (64 B apart, in shuffled order), loads one
  * in-edge neighbor value from the opposite partition, and stores the
- * recomputed value (one word) into the node.
+ * recomputed value (one word) into the node. Zero nodes throw
+ * std::invalid_argument.
  */
 class Em3d : public cpu::Generator
 {

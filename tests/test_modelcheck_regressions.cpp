@@ -102,6 +102,18 @@ INSTANTIATE_TEST_SUITE_P(AllFaults, FaultCatch,
                                            Fault::IgnoreTwtr,
                                            Fault::DropCount));
 
+TEST(FaultNames, EveryFaultRoundTrips)
+{
+    for (const Fault f : kAllFaults) {
+        Fault parsed = Fault::None;
+        ASSERT_TRUE(parseFault(faultName(f), parsed)) << faultName(f);
+        EXPECT_EQ(parsed, f) << faultName(f);
+    }
+    Fault parsed = Fault::WidenAct;
+    EXPECT_FALSE(parseFault("no_such_fault", parsed));
+    EXPECT_EQ(parsed, Fault::WidenAct);
+}
+
 TEST(ModelCheck, UnfaultedExplorationIsClean)
 {
     for (dram::SchedulerKind sched : dram::kAllSchedulerKinds) {

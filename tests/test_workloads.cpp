@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <set>
 
 #include "workloads/factory.h"
@@ -76,6 +77,26 @@ TEST(LinkedList, PermutationIsSingleCycle)
     // The next visit restarts the cycle.
     const cpu::MemOp op = g.next();
     EXPECT_TRUE(seen.count(lineBase(op.addr)));
+}
+
+TEST(LinkedList, EmptyTableThrowsAndOneNodeRuns)
+{
+    EXPECT_THROW(LinkedList(0, 20, 0.5, 7), std::invalid_argument);
+    // One node: the cycle is the node itself.
+    LinkedList g(1, 20, 0.0, 7);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(g.next().addr, 0u);
+}
+
+TEST(Em3d, EmptyTableThrowsAndOneNodeRuns)
+{
+    EXPECT_THROW(Em3d(0, 14, 11), std::invalid_argument);
+    // One node: every sweep stores to it.
+    Em3d g(1, 14, 11);
+    for (int i = 0; i < 4; ++i) {
+        g.next();   // Neighbor load.
+        EXPECT_EQ(g.next().addr, 1ull << 30);
+    }
 }
 
 TEST(Em3d, AlternatesNeighborLoadAndNodeStore)

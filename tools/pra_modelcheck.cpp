@@ -214,10 +214,11 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             if (std::strcmp(v, "all") == 0) {
-                faults = {Fault::WidenAct,     Fault::IgnoreTccdL,
-                          Fault::IgnoreTwtr,   Fault::SuppressWake,
-                          Fault::StarveAged,   Fault::DropCount,
-                          Fault::LateRfm};
+                faults.clear();
+                for (const Fault f : pra::analysis::kAllFaults) {
+                    if (f != Fault::None)
+                        faults.push_back(f);
+                }
             } else {
                 Fault f = Fault::None;
                 if (!pra::analysis::parseFault(v, f)) {
