@@ -1,7 +1,6 @@
 #include "cpu/core.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace pra::cpu {
 
@@ -11,17 +10,6 @@ Core::Core(unsigned id, const CoreParams &params, Generator &gen,
       nextTag_(static_cast<std::uint64_t>(id) << 48)
 {
     demandLoads_.reserve(params_.ldqSize);
-}
-
-std::uint64_t
-Core::robLimit() const
-{
-    if (demandLoads_.empty())
-        return std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t oldest = demandLoads_.front().instNum;
-    for (const auto &l : demandLoads_)
-        oldest = std::min(oldest, l.instNum);
-    return oldest + params_.robSize;
 }
 
 void
@@ -52,19 +40,8 @@ Core::tick()
             break;   // ROB-head blocked on an outstanding load.
 
         // The memory op is next; check structural constraints.
-        if (instCount_ + 1 > robLimit())
+        if (memOpBlocked())
             break;
-        if (op_.isWrite) {
-            if (storeFetches_ >= params_.stqSize)
-                break;
-        } else {
-            if (demandLoads_.size() >= params_.ldqSize)
-                break;
-            if (op_.serializing && !demandLoads_.empty())
-                break;   // Pointer chase: wait for in-flight loads.
-        }
-        if (!port_->canIssue(id_, op_.addr))
-            break;   // DRAM queue or writeback backpressure.
 
         const std::uint64_t tag = nextTag_++;
         const bool fetching = port_->access(id_, op_, tag);
@@ -97,27 +74,27 @@ Core::stalled() const
         return false;   // Can still run ahead of the memory op.
     if (instCount_ < opInst_ - 1)
         return true;    // ROB-head blocked on an outstanding load.
-    if (instCount_ + 1 > robLimit())
-        return true;    // The memory op itself would overflow the ROB.
-    if (op_.isWrite) {
-        if (storeFetches_ >= params_.stqSize)
-            return true;
-    } else {
-        if (demandLoads_.size() >= params_.ldqSize)
-            return true;
-        if (op_.serializing && !demandLoads_.empty())
-            return true;
-    }
-    return !port_->canIssue(id_, op_.addr);
+    return memOpBlocked();
+}
+
+bool
+Core::memOpBlocked() const
+{
+    // A full LSQ, or a pointer chase waiting for in-flight loads.
+    const bool lsq_full = op_.isWrite
+                              ? storeFetches_ >= params_.stqSize
+                              : demandLoads_.size() >= params_.ldqSize ||
+                                    (op_.serializing && !demandLoads_.empty());
+    return instCount_ + 1 > robLimit() || lsq_full ||
+           !port_->canIssue(id_, op_.addr);
 }
 
 void
 Core::complete(std::uint64_t tag)
 {
-    for (std::size_t i = 0; i < demandLoads_.size(); ++i) {
-        if (demandLoads_[i].tag == tag) {
-            demandLoads_[i] = demandLoads_.back();
-            demandLoads_.pop_back();
+    for (auto it = demandLoads_.begin(); it != demandLoads_.end(); ++it) {
+        if (it->tag == tag) {
+            demandLoads_.erase(it);   // In place: keeps the issue order.
             return;
         }
     }

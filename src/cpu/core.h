@@ -20,6 +20,7 @@
 #define PRA_CPU_CORE_H
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/fields.h"
@@ -108,8 +109,16 @@ class Core
         std::uint64_t instNum;
     };
 
-    /** Issue-front limit imposed by the ROB. */
-    std::uint64_t robLimit() const;
+    /** Issue-front limit imposed by the ROB (oldest load + robSize). */
+    std::uint64_t
+    robLimit() const
+    {
+        return demandLoads_.empty()
+                   ? std::numeric_limits<std::uint64_t>::max()
+                   : demandLoads_.front().instNum + params_.robSize;
+    }
+    /** The held memory op's structural gates: ROB, LDQ/STQ, port. */
+    bool memOpBlocked() const;
 
     unsigned id_;
     CoreParams params_;
@@ -124,7 +133,7 @@ class Core
     MemOp op_;
     std::uint64_t opInst_ = 0;   //!< Instruction number of the held op.
 
-    std::vector<OutstandingLoad> demandLoads_;
+    std::vector<OutstandingLoad> demandLoads_;   //!< In issue order.
     unsigned storeFetches_ = 0;
 
     std::uint64_t nextTag_;

@@ -10,6 +10,7 @@ BankEngine::BankEngine(const DramConfig &cfg) : cfg_(&cfg)
     bankInfo_.resize(cfg.ranksPerChannel * cfg.banksPerRank);
     rankQueued_.resize(cfg.ranksPerChannel);
     uncountedHits_.resize(cfg.ranksPerChannel);
+    hitBanks_.resize(cfg.ranksPerChannel);
 }
 
 void

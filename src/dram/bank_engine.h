@@ -88,8 +88,9 @@ class BankEngine
         BankInfo &bi = info(req.loc.rank, req.loc.bank);
         ++bi.queued;
         ++rankQueued_[req.loc.rank];
-        if (probe(req) == RowProbe::Hit)
-            ++bi.openRowMatches;
+        const bool hit = probe(req) == RowProbe::Hit;
+        bi.openRowMatches += hit;
+        hitBanks_[req.loc.rank] |= std::uint64_t{hit} << req.loc.bank;
     }
 
     /** Account a request leaving the queues via a column access. */
@@ -99,8 +100,8 @@ class BankEngine
         BankInfo &bi = info(req.loc.rank, req.loc.bank);
         --bi.queued;
         --rankQueued_[req.loc.rank];
-        if (bi.openRowMatches > 0)
-            --bi.openRowMatches;
+        if (bi.openRowMatches > 0 && --bi.openRowMatches == 0)
+            hitBanks_[req.loc.rank] &= ~(std::uint64_t{1} << req.loc.bank);
     }
 
     /**
@@ -120,11 +121,16 @@ class BankEngine
      *  column scan walks the bank even when its count reads zero. */
     std::uint64_t uncountedHits(unsigned r) const { return uncountedHits_[r]; }
 
+    /** Per rank, bit b: openRowMatches(r, b) > 0 (so the bank is open).
+     *  Derived, like Rank::openBanks(): not in fingerprint(). */
+    std::uint64_t hitBanks(unsigned r) const { return hitBanks_[r]; }
+
     /** A precharge closed the row: nothing can hit it any more. */
     void
     onPrecharge(unsigned r, unsigned b)
     {
         info(r, b).openRowMatches = 0;
+        hitBanks_[r] &= ~(std::uint64_t{1} << b);
     }
 
     /**
@@ -141,6 +147,7 @@ class BankEngine
     recountOpenRowMatches(unsigned r, unsigned b, Queues &&...queues)
     {
         uncountedHits_[r] &= ~(std::uint64_t{1} << b);
+        hitBanks_[r] &= ~(std::uint64_t{1} << b);
         BankInfo &bi = info(r, b);
         bi.openRowMatches = 0;
         if (!bank(r, b).isOpen())
@@ -156,6 +163,7 @@ class BankEngine
             }
         };
         (count(queues), ...);
+        hitBanks_[r] |= std::uint64_t{bi.openRowMatches > 0} << b;
         return visited;
     }
 
@@ -163,9 +171,9 @@ class BankEngine
      * Analysis probe seam: fold every rank/bank FSM plus the per-bank
      * pending-work counters and uncountedHits() bits into @p h, timing
      * registers normalized to @p now and saturated at @p horizon (see
-     * Bank::fingerprint). The per-rank queued sums and the open-bank
-     * masks are derived from those and stay out. Used by the offline
-     * model checker (src/analysis) for state deduplication.
+     * Bank::fingerprint). The per-rank queued sums, the open-bank masks
+     * and hitBanks() are derived from those and stay out. Used by the
+     * offline model checker (src/analysis) for state deduplication.
      */
     void fingerprint(Fnv1a &h, Cycle now, Cycle horizon) const;
 
@@ -190,6 +198,7 @@ class BankEngine
     std::vector<BankInfo> bankInfo_;
     std::vector<unsigned> rankQueued_;   //!< Sum of queued over a rank.
     std::vector<std::uint64_t> uncountedHits_;   //!< Per rank, by bank.
+    std::vector<std::uint64_t> hitBanks_;        //!< Per rank, by bank.
 };
 
 } // namespace pra::dram

@@ -133,35 +133,33 @@ RequestScan::columnCandidate(Request &req, Cycle now)
     return cfg_->policy != PagePolicy::RestrictedClose || req.classified;
 }
 
-bool
-RequestScan::columnBankReady(const Request &req, bool is_write, Cycle now)
+Cycle
+RequestScan::columnBankReadyAt(unsigned r, unsigned b, bool is_write,
+                               Cycle now) const
 {
-    const Bank &bank = banks_->bank(req.loc.rank, req.loc.bank);
+    constexpr Cycle kNever = ~Cycle{0};
+    const Bank &bank = banks_->bank(r, b);
     // Restricted close-page: the auto-precharge is encoded in the
     // previous column command (RDA/WRA), so the row is already committed
     // to close — no further hits may ride on it.
     if (bank.autoPrechargePending())
-        return false;
+        return kNever;
     const bool column_ok = is_write ? bank.canWrite(now) : bank.canRead(now);
-    if (!column_ok) {
-        noteWake(bank.earliestColumnAccess(), now);
-        return false;
-    }
+    if (!column_ok)
+        return bank.earliestColumnAccess();
     // DDR4 bank groups: back-to-back column commands to the same group
     // must honor the long tCCD_L; across groups tCCD(_S) applies at the
     // channel level.
-    if (!bus_->columnGateOk(req.loc.bank, now)) {
-        noteWake(bus_->columnGateFreeAt(req.loc.bank), now);
-        return false;
-    }
+    if (!bus_->columnGateOk(b, now))
+        return bus_->columnGateFreeAt(b);
     const Cycle lat = is_write ? writeLatency_ : readLatency_;
-    if (!bus_->dataBusFree(now + lat, req.loc.rank)) {
-        noteWake(bus_->dataBusFreeAt(req.loc.rank) - lat, now);
-        return false;
-    }
+    if (!bus_->dataBusFree(now + lat, r))
+        return bus_->dataBusFreeAt(r) - lat;
     // An exhausted hit budget must re-activate; close + prepare handle it.
-    return cfg_->policy != PagePolicy::RelaxedClose ||
-           bank.hitCount() < cfg_->rowHitCap;
+    return cfg_->policy == PagePolicy::RelaxedClose &&
+                   bank.hitCount() >= cfg_->rowHitCap
+               ? kNever
+               : now;
 }
 
 RequestScan::Pick
@@ -180,10 +178,13 @@ RequestScan::column(RequestQueue &queue, bool is_write, Cycle now)
         Slot s = queue.head();
         for (std::size_t i = 0; i < window; ++i, s = queue.next(s)) {
             Request &req = queue.at(s);
-            if (columnCandidate(req, now) &&
-                columnBankReady(req, is_write, now)) {
+            if (!columnCandidate(req, now))
+                continue;
+            const Cycle ready =
+                columnBankReadyAt(req.loc.rank, req.loc.bank, is_write, now);
+            if (ready == now)
                 return {.kind = Pick::Kind::Column, .slot = s};
-            }
+            noteWake(ready, now);
         }
         return {};
     }
@@ -191,18 +192,19 @@ RequestScan::column(RequestQueue &queue, bool is_write, Cycle now)
     // gate. A row hit needs an open bank whose open-row count is non-zero
     // (the count never misses a real hit, DESIGN.md §9), so only those
     // banks are walked. The bank gates are the same for every request of
-    // a bank, so each bank offers its oldest candidate that passes them,
-    // and the oldest offer issues.
+    // a bank, so they go first: a ready bank offers its oldest candidate
+    // and the oldest offer issues; a blocked bank is walked only to
+    // confirm a candidate for a note that would lower wake().
     Slot best = RequestQueue::kEnd;
     for (unsigned r = 0; r < banks_->numRanks(); ++r) {
-        const std::uint64_t uncounted = banks_->uncountedHits(r);
-        for (std::uint64_t open = banks_->rank(r).openBanks(); open != 0;
-             open &= open - 1) {
-            const auto b = static_cast<unsigned>(std::countr_zero(open));
-            if (banks_->openRowMatches(r, b) == 0 &&
-                !(uncounted >> b & 1u)) {
+        for (std::uint64_t walk =
+                 (banks_->hitBanks(r) | banks_->uncountedHits(r)) &
+                 banks_->rank(r).openBanks();
+             walk != 0; walk &= walk - 1) {
+            const auto b = static_cast<unsigned>(std::countr_zero(walk));
+            const Cycle ready = columnBankReadyAt(r, b, is_write, now);
+            if (ready != now && ready >= wake_)
                 continue;
-            }
             for (Slot s = queue.bankHead(r, b); s != RequestQueue::kEnd;
                  s = queue.bankNext(s)) {
                 // Younger than the best offer so far: nothing further
@@ -211,11 +213,11 @@ RequestScan::column(RequestQueue &queue, bool is_write, Cycle now)
                     queue.seq(s) > queue.seq(best)) {
                     break;
                 }
-                Request &req = queue.at(s);
-                if (!columnCandidate(req, now))
+                if (!columnCandidate(queue.at(s), now))
                     continue;
-                if (columnBankReady(req, is_write, now))
+                if (ready == now)
                     best = s;
+                noteWake(ready, now);   // A no-op for a ready bank.
                 break;
             }
         }

@@ -139,11 +139,13 @@ class RequestScan
      */
     bool columnCandidate(Request &req, Cycle now);
     /**
-     * The column gates shared by every request of @p req's bank: no
+     * The column gates shared by every request of bank (@p r, @p b): no
      * pending auto-precharge, bank column timing, the bank-group column
-     * gate, the data bus and the row-hit cap.
+     * gate, the data bus and the row-hit cap. Returns @p now if they pass,
+     * else the exact (later) release of the time gate that blocks, or ~0.
      */
-    bool columnBankReady(const Request &req, bool is_write, Cycle now);
+    Cycle columnBankReadyAt(unsigned r, unsigned b, bool is_write,
+                            Cycle now) const;
 
     const DramConfig *cfg_;
     const SchemeModel *scheme_;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,6 +97,13 @@ class Harness
     MemoryController &mc() { return mc_; }
     Cycle now() const { return now_; }
 
+    /** Call @p probe with the controller after every tick. */
+    void
+    afterEachTick(std::function<void(const MemoryController &)> probe)
+    {
+        afterTick_ = std::move(probe);
+    }
+
     /** False once the run has reached @p budget (and failed). */
     bool
     withinBudget(Cycle budget)
@@ -114,6 +122,8 @@ class Harness
     tick()
     {
         mc_.tick(now_++);
+        if (afterTick_)
+            afterTick_(mc_);
         for (const Completion &c : mc_.completions()) {
             completions_.add(c.tag);
             completions_.add(c.addr);
@@ -181,10 +191,12 @@ class Harness
     Cycle now_ = 0;
     std::uint64_t nextTag_ = 1;
     bool overBudget_ = false;
+    std::function<void(const MemoryController &)> afterTick_;
 };
 
 /**
- * The canned request mix: an LCG request stream of 600 requests over
+ * Drive the canned request mix through @p h (built for @p cfg): an
+ * LCG request stream of 600 requests over
  * both ranks, all banks, mixed reads and masked writes (one to three
  * dirty words), bursty enough to trigger write drains, then a
  * two-tREFI idle tail. Every arrival cycle and address is a pure
@@ -195,10 +207,9 @@ class Harness
  * row cycle and a refresh per request, the idle tail and one more
  * tREFI. Strict FCFS, the slowest policy, ends at about 60% of it.
  */
-inline Outcome
-runCanned(const DramConfig &cfg, const std::string &label)
+inline void
+driveCanned(Harness &h, const DramConfig &cfg)
 {
-    Harness h(cfg, label);
     const Timing &t = cfg.timing;
     const Cycle budget =
         600 * (99 + 2 * Cycle{t.tRc + t.tRfc}) + 3 * Cycle{t.tRefi};
@@ -232,6 +243,14 @@ runCanned(const DramConfig &cfg, const std::string &label)
             h.tick();
     }
     h.drain(2 * Cycle{t.tRefi}, budget);
+}
+
+/** The canned request mix through a fresh harness for @p cfg. */
+inline Outcome
+runCanned(const DramConfig &cfg, const std::string &label)
+{
+    Harness h(cfg, label);
+    driveCanned(h, cfg);
     return h.outcome();
 }
 

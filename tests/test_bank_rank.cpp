@@ -2,14 +2,18 @@
  * @file
  * Timing-constraint tests for the Bank FSM (tRCD/tRAS/tRP/tRC/tRTP/tWR,
  * PRA mask-delivery delay) and the Rank (weighted tFAW window, tRRD,
- * refresh scheduling, power-down, open-bank mask). A bank opens and
+ * refresh scheduling, power-down, open-bank mask), and the BankEngine's
+ * hit-bank mask under canned controller traffic. A bank opens and
  * closes only through its Rank, so the Bank tests drive bank 0 of one.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
+#include "canned_traffic.h"
 #include "common/rng.h"
 #include "dram/rank.h"
 
@@ -302,6 +306,50 @@ TEST(Rank, RejectsMoreBanksThanTheOpenMaskHolds)
     DramConfig cfg = rankConfig();
     cfg.banksPerRank = Rank::kMaxBanks + 1;
     EXPECT_THROW(Rank(cfg, 0), std::invalid_argument);
+}
+
+TEST(BankEngine, HitBanksTrackOpenRowMatchesUnderEveryPagePolicy)
+{
+    // The canned controller traffic under each page policy, with
+    // partial writes (pra) and speculative partial reads
+    // (pra_spec_read): after every tick, on every rank, bit b of
+    // hitBanks() is set exactly when openRowMatches(r, b) > 0, and the
+    // mask lies inside the rank's open banks.
+    for (const char *scheme : {"pra", "pra_spec_read"}) {
+        for (const auto &[policy, name] :
+             {std::pair{PagePolicy::RelaxedClose, "relaxed"},
+              std::pair{PagePolicy::RestrictedClose, "restricted"},
+              std::pair{PagePolicy::OpenPage, "open"}}) {
+            DramConfig cfg;
+            cfg.scheme = &schemeByName(scheme);
+            if (policy == PagePolicy::RestrictedClose)
+                cfg.useRestrictedClosePage();
+            cfg.policy = policy;
+            const std::string label = std::string(scheme) + "/" + name;
+            test::Harness h(cfg, label);
+            std::uint64_t set_bits = 0;
+            std::uint64_t bad_ticks = 0;
+            h.afterEachTick([&](const MemoryController &mc) {
+                const BankEngine &banks = mc.bankEngine();
+                bool bad = false;
+                for (unsigned r = 0; r < banks.numRanks(); ++r) {
+                    const std::uint64_t hits = banks.hitBanks(r);
+                    set_bits += static_cast<unsigned>(std::popcount(hits));
+                    bad |= (hits & ~banks.rank(r).openBanks()) != 0;
+                    for (unsigned b = 0; b < cfg.banksPerRank; ++b) {
+                        bad |= ((hits >> b & 1u) != 0) !=
+                               (banks.openRowMatches(r, b) > 0);
+                    }
+                }
+                if (bad && bad_ticks++ == 0)
+                    ADD_FAILURE() << label << ": first wrong mask at cycle "
+                                  << h.now() - 1;
+            });
+            test::driveCanned(h, cfg);
+            EXPECT_EQ(bad_ticks, 0u) << label;
+            EXPECT_GT(set_bits, 0u) << label;
+        }
+    }
 }
 
 } // namespace

@@ -137,6 +137,27 @@ TEST(Core, RobBlocksAtHeadDistance)
     EXPECT_GT(core.retiredInstructions(), 1u + params.robSize);
 }
 
+TEST(Core, RobLimitFollowsOldestOutstandingLoad)
+{
+    // Three misses with gaps (instructions 1, 7 and 13), then an endless
+    // instruction stream. Once the oldest completes, the second-oldest
+    // heads the ROB: the core runs ahead exactly ROB-size past it, not
+    // past whichever load completion order left in front.
+    ScriptGen gen({load(0), load(5), load(5)});
+    StubPort port;
+    CoreParams params;
+    Core core(0, params, gen, port);
+    for (int i = 0; i < 100; ++i)
+        core.tick();
+    ASSERT_EQ(port.pending.size(), 3u);
+    EXPECT_EQ(core.retiredInstructions(), 1u + params.robSize);
+    core.complete(port.pending.front());
+    for (int i = 0; i < 100; ++i)
+        core.tick();
+    EXPECT_EQ(core.outstandingLoads(), 2u);
+    EXPECT_EQ(core.retiredInstructions(), 7u + params.robSize);
+}
+
 TEST(Core, LdqBoundsOutstandingLoads)
 {
     std::vector<MemOp> ops;
