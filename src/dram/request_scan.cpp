@@ -139,10 +139,10 @@ RequestScan::columnBankReadyAt(unsigned r, unsigned b, bool is_write,
 {
     constexpr Cycle kNever = ~Cycle{0};
     const Bank &bank = banks_->bank(r, b);
-    // Restricted close-page: the auto-precharge is encoded in the
-    // previous column command (RDA/WRA), so the row is already committed
-    // to close — no further hits may ride on it.
-    if (bank.autoPrechargePending())
+    // A closed bank needs an ACT first. Restricted close-page: the
+    // auto-precharge in the previous RDA/WRA has committed the row to
+    // close, so no further hits may ride on it.
+    if (!bank.isOpen() || bank.autoPrechargePending())
         return kNever;
     const bool column_ok = is_write ? bank.canWrite(now) : bank.canRead(now);
     if (!column_ok)

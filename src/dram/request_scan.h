@@ -139,10 +139,10 @@ class RequestScan
      */
     bool columnCandidate(Request &req, Cycle now);
     /**
-     * The column gates shared by every request of bank (@p r, @p b): no
-     * pending auto-precharge, bank column timing, the bank-group column
-     * gate, the data bus and the row-hit cap. Returns @p now if they pass,
-     * else the exact (later) release of the time gate that blocks, or ~0.
+     * The column gates shared by every request of bank (@p r, @p b): an
+     * open row without a pending auto-precharge, bank column timing, the
+     * bank-group gate, the data bus and the row-hit cap. Returns @p now
+     * if they pass, else the exact release of the blocking time gate, or ~0.
      */
     Cycle columnBankReadyAt(unsigned r, unsigned b, bool is_write,
                             Cycle now) const;

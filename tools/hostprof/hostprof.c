@@ -1,13 +1,15 @@
 /*
  * hostprof: a wall-clock sampling profiler loaded with LD_PRELOAD.
  *
- * A CLOCK_MONOTONIC POSIX timer sends SIGPROF to this process about
- * HOSTPROF_HZ (default 4000) times a second. Each signal walks the frame
- * pointers from the interrupted context and stores the PCs in a fixed
- * buffer (no allocation in the handler). At exit every PC is written as
+ * A CLOCK_MONOTONIC POSIX timer sends SIGPROF to the main thread of this
+ * process kHz times a second. Each signal walks the frame pointers from
+ * the interrupted context and stores the PCs in a fixed buffer (no
+ * allocation in the handler). At exit every PC is written as
  * module-relative offsets to HOSTPROF_OUT (default hostprof.out), one
- * sample per line; report.py symbolizes them. Frames are only complete
- * in code built with -fno-omit-frame-pointer. x86-64 and AArch64.
+ * sample per line; report.py symbolizes them. Other threads are never
+ * sampled, so profile single-threaded runs such as perfbench. Frames are
+ * only complete in code built with -fno-omit-frame-pointer. x86-64 and
+ * AArch64.
  *
  *   cc -O2 -shared -fPIC -o hostprof.so tools/hostprof/hostprof.c -lrt
  *   LD_PRELOAD=./hostprof.so ./program ...
@@ -23,7 +25,13 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-enum { kMaxDepth = 48, kMaxSamples = 1 << 17 };
+/* glibc before 2.41 names the target-thread field only in the kernel's
+ * headers. */
+#ifndef sigev_notify_thread_id
+#define sigev_notify_thread_id _sigev_un._tid
+#endif
+
+enum { kHz = 4000, kMaxDepth = 48, kMaxSamples = 1 << 17 };
 
 static uintptr_t g_pcs[kMaxSamples][kMaxDepth];
 static unsigned char g_depth[kMaxSamples];
@@ -52,7 +60,7 @@ onSample(int sig, siginfo_t *info, void *uctx)
     int d = 0;
     g_pcs[n][d++] = pc;
     /* Each frame record is {caller fp, return address}; follow it only
-     * while it stays on this thread's stack and moves up it. */
+     * while it stays on the main thread's stack and moves up it. */
     while (d < kMaxDepth && fp >= g_stackLo && fp + 16 <= g_stackHi &&
            fp % sizeof(uintptr_t) == 0) {
         const uintptr_t *frame = (const uintptr_t *)fp;
@@ -110,15 +118,16 @@ start(void)
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
 
-    const char *hz_env = getenv("HOSTPROF_HZ");
-    const long hz = hz_env ? atol(hz_env) : 4000;
+    /* To the main thread only: the stack bounds above are its own, and
+     * the handler never runs on two threads at once. */
     struct sigevent sev = {0};
-    sev.sigev_notify = SIGEV_SIGNAL;   /* To this process only. */
+    sev.sigev_notify = SIGEV_THREAD_ID;
     sev.sigev_signo = SIGPROF;
-    if (hz <= 0 || timer_create(CLOCK_MONOTONIC, &sev, &g_timer) != 0)
+    sev.sigev_notify_thread_id = gettid();
+    if (timer_create(CLOCK_MONOTONIC, &sev, &g_timer) != 0)
         return;
     struct itimerspec its = {0};
-    its.it_interval.tv_nsec = 1000000000L / (hz > 1000000 ? 1000000 : hz);
+    its.it_interval.tv_nsec = 1000000000L / kHz;
     its.it_value = its.it_interval;
     timer_settime(g_timer, 0, &its, NULL);
 }
