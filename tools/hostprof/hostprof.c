@@ -25,8 +25,8 @@
 #include <ucontext.h>
 #include <unistd.h>
 
-/* glibc before 2.41 names the target-thread field only in the kernel's
- * headers. */
+/* Older glibc headers name the target-thread field only as the kernel
+ * does. */
 #ifndef sigev_notify_thread_id
 #define sigev_notify_thread_id _sigev_un._tid
 #endif
